@@ -2,91 +2,85 @@
 //! variants, and per-target base-level outcomes.
 //!
 //! Usage: `cargo run --release -p bench --bin table5 -- [bases] [variants]
-//! [--threads N] [--pipeline] [--paper-scale] [--shard I/N]
-//! [--journal PATH] [--resume]`
+//! [--threads N] [--paper-scale] [--shard I/N] [--journal PATH] [--resume]
+//! [--store PATH | --no-store]`
 //! (the paper uses 180 bases and 40 variants; defaults here are 4 and 10,
 //! and `--paper-scale` generates base kernels at the paper's 100–10 000
 //! work-item scale).
 //!
-//! The job space is the live-base index space (every shard regenerates the
-//! cheap base list deterministically, then judges only its slice).
-//! `table5 merge J1 [J2 ...]` refolds shard journals into the table
-//! without re-judging anything.
+//! The job space is the live-base index space (every shard, and every
+//! fleet worker, regenerates the cheap base list deterministically, then
+//! judges only its slice).  `table5 merge J1 [J2 ...]` refolds shard
+//! journals into the table without re-judging anything, and
+//! `table5 coordinate [bases] [variants] --fleet-dir DIR [--workers N]
+//! [--faults SPEC] [--follow]` runs the campaign as a crash-tolerant worker
+//! fleet whose table is byte-identical to `table5 merge` over a fault-free
+//! batch journal.
 
+use bench::{Cli, Provenance, Table};
 use clsmith::GeneratorOptions;
-use fuzz_harness::{
-    merge_emi_campaign_journals, render_emi_table, run_emi_campaign_sharded, CampaignOptions,
-    EmiCampaignOptions,
-};
+use fuzz_harness::{render_emi_table, CampaignOptions, EmiCampaign, EmiCampaignOptions, EmiTally};
+use opencl_sim::{Configuration, ExecOptions};
+
+struct Table5;
+
+impl Table for Table5 {
+    type Campaign = EmiCampaign;
+    const SCALE: &'static [usize] = &[4, 10];
+
+    fn configs() -> Vec<Configuration> {
+        opencl_sim::above_threshold_configurations()
+    }
+
+    fn campaign(
+        cli: &Cli,
+        configs: &[Configuration],
+        scale: &[usize],
+        exec: ExecOptions,
+    ) -> EmiCampaign {
+        let options = EmiCampaignOptions {
+            bases: scale[0],
+            variants_per_base: scale[1],
+            campaign: CampaignOptions {
+                generator: cli.generator_or(GeneratorOptions {
+                    min_threads: 16,
+                    max_threads: 64,
+                    ..GeneratorOptions::default()
+                }),
+                exec,
+                ..CampaignOptions::default()
+            },
+        };
+        EmiCampaign::new(&cli.scheduler, configs, &options)
+    }
+
+    fn render(campaign: &EmiCampaign, tally: &EmiTally, provenance: &Provenance) -> String {
+        let (Provenance::Merged { jobs } | Provenance::Run { jobs, .. }) = *provenance;
+        let result = campaign.result(tally, jobs as usize);
+        let variants = result.variants_per_base;
+        let banner = match provenance {
+            Provenance::Merged { .. } => format!(
+                "({jobs} live base programs, {variants} pruning variants each, merged from journals)"
+            ),
+            Provenance::Run {
+                workers,
+                shard: Some(shard),
+                ..
+            } => format!(
+                "(shard {shard} — PARTIAL table over {jobs} of {} live bases, {variants} variants each, {workers} worker(s))",
+                campaign.bases.len()
+            ),
+            Provenance::Run { workers, .. } => format!(
+                "({jobs} live base programs, {variants} pruning variants each, {workers} worker(s))"
+            ),
+        };
+        format!(
+            "Table 5 — CLsmith+EMI results over the above-threshold configurations\n{banner}\n\n{}",
+            render_emi_table(&result)
+        )
+    }
+}
 
 fn main() {
-    let cli = bench::cli();
-    let configs = opencl_sim::above_threshold_configurations();
-
-    if let Some(paths) = &cli.merge {
-        let (result, summary) =
-            merge_emi_campaign_journals(paths, &configs).unwrap_or_else(|e| bench::fail(e));
-        bench::report_refold_summary(&summary);
-        println!("Table 5 — CLsmith+EMI results over the above-threshold configurations");
-        println!(
-            "({} live base programs, {} pruning variants each, merged from journals)\n",
-            result.bases, result.variants_per_base
-        );
-        print!("{}", render_emi_table(&result));
-        return;
-    }
-
-    let scheduler = &cli.scheduler;
-    let bases: usize = cli
-        .positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let variants: usize = cli
-        .positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    let options = EmiCampaignOptions {
-        bases,
-        variants_per_base: variants,
-        campaign: CampaignOptions {
-            generator: cli.generator_or(GeneratorOptions {
-                min_threads: 16,
-                max_threads: 64,
-                ..GeneratorOptions::default()
-            }),
-            exec: cli.exec_options(),
-            ..CampaignOptions::default()
-        },
-    };
-    let sharded = run_emi_campaign_sharded(
-        scheduler,
-        &configs,
-        &options,
-        cli.shard,
-        cli.journal_options().as_ref(),
-    )
-    .unwrap_or_else(|e| bench::fail(e));
-    bench::report_shard_metrics(&cli, &sharded.metrics);
-    bench::report_store_stats(&options.campaign.exec);
-    println!("Table 5 — CLsmith+EMI results over the above-threshold configurations");
-    if cli.is_sharded() {
-        println!(
-            "(shard {} — PARTIAL table over {} of {} live bases, {} variants each, {} worker(s))\n",
-            cli.shard,
-            sharded.result.bases,
-            sharded.total_bases,
-            sharded.result.variants_per_base,
-            scheduler.threads()
-        );
-    } else {
-        println!(
-            "({} live base programs, {} pruning variants each, {} worker(s))\n",
-            sharded.result.bases,
-            sharded.result.variants_per_base,
-            scheduler.threads()
-        );
-    }
-    print!("{}", render_emi_table(&sharded.result));
+    bench::campaign_main::<Table5>();
 }

@@ -3,7 +3,7 @@
 //! A binary becomes a fleet by re-invoking itself: `<binary> coordinate …`
 //! partitions the campaign's job space and spawns `<binary> worker …`
 //! children (over stdin/stdout, via [`ProcessWorker`]), each of which runs
-//! leases through the campaign's range driver.  The coordinator's stdout is
+//! leases through `fuzz_harness::run_lease`.  The coordinator's stdout is
 //! exactly what `<binary> merge <lease journals…>` would print, so a fleet
 //! run — even one riddled with injected faults — can be byte-diffed against
 //! a fault-free batch run's merged table.
@@ -24,12 +24,14 @@ use std::time::Duration;
 
 use fuzz_harness::faults::{FaultKind, FaultPlan, FaultSpec, LeaseFault};
 use fuzz_harness::fleet::append_worker_log;
+use fuzz_harness::shard::CheckpointPolicy;
 use fuzz_harness::{
-    run_worker, tear_journal_tail, Coordinator, FleetOptions, FleetOutcome, LeaseRecord,
-    ProcessWorker, WorkerLink,
+    merge_journals, run_lease, run_worker, tear_journal_tail, Campaign, Coordinator, FleetOptions,
+    FleetOutcome, LeaseRecord, ProcessWorker, WorkerLink,
 };
+use opencl_sim::Configuration;
 
-use crate::{fail, usage_error, Cli};
+use crate::{fail, report_refold_summary, usage_error, Cli, Provenance, Table};
 
 /// Exit code of a coordinator whose campaign completed with quarantined
 /// (dead-lettered) ranges: the table printed, but it has gaps.
@@ -38,7 +40,7 @@ pub const FLEET_EXIT_QUARANTINE: i32 = 4;
 /// The coordinator options implied by the fleet flags.  `--fleet-dir` is
 /// required: lease journals, `fleet.log`, `dead-letters.log`, and
 /// `faults.log` all live there.
-pub fn fleet_options(cli: &Cli) -> FleetOptions {
+fn fleet_options(cli: &Cli) -> FleetOptions {
     let Some(journal_dir) = cli.fleet.fleet_dir.clone() else {
         usage_error("coordinate requires --fleet-dir PATH");
     };
@@ -56,7 +58,7 @@ pub fn fleet_options(cli: &Cli) -> FleetOptions {
 /// The flags a coordinator forwards to its `worker` re-invocations so both
 /// sides derive the same campaign (generator scale, store, fault plan,
 /// checkpoint cadence, scheduler shape).
-pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
+fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
     let mut flags = Vec::new();
     if cli.paper_scale {
         flags.push("--paper-scale".to_string());
@@ -72,42 +74,47 @@ pub fn forwarded_worker_flags(cli: &Cli) -> Vec<String> {
     }
     flags.push(format!("--checkpoint-every={}", cli.fleet.checkpoint_every));
     flags.push(format!("--threads={}", cli.scheduler.threads()));
-    if matches!(cli.scheduler.mode(), fuzz_harness::SchedulerMode::Pipelined) {
-        flags.push("--pipeline".to_string());
-    }
     flags
 }
 
-/// A binary's "merge these completed lease journals and render the partial
-/// table" closure, used by `--follow` to fill the table in live.
-pub type LiveTable<'a> = &'a dyn Fn(&[PathBuf]) -> Result<String, String>;
-
-/// Runs the coordinator side: spawns `worker_args` re-invocations of this
-/// binary as workers, leases the job space to them, and returns the
-/// outcome.  Writes the resolved fault schedule to `faults.log` first so
-/// chaos runs leave an auditable record even if the fleet dies.
+/// Runs `<binary> coordinate`: spawns `<binary> worker` re-invocations at
+/// the same `scale`, leases the campaign's job space to them, merges the
+/// lease journals, prints the table and exits — 0 when complete,
+/// [`FLEET_EXIT_QUARANTINE`] when ranges were dead-lettered.  Writes the
+/// resolved fault schedule to `faults.log` first so chaos runs leave an
+/// auditable record even if the fleet dies.
 ///
-/// Under `--follow` every coordinator event streams to stderr, and
-/// `live_table` — the binary's "merge these lease journals and render the
-/// partial table" closure — re-renders after every `DONE` event, so the
-/// table fills in live as leases land.  Rendering reads only journals of
-/// completed leases (the same ones the final merge reads), so a live
-/// rendering failure is reported but never aborts the fleet.
-pub fn run_coordinator(
+/// Under `--follow` every coordinator event streams to stderr, and the
+/// table of the completed leases re-renders after every `DONE` event, so it
+/// fills in live.  Rendering reads only journals of completed leases (the
+/// same ones the final merge reads), so a live rendering failure is
+/// reported but never aborts the fleet.
+pub fn coordinate<T: Table>(
     cli: &Cli,
-    campaign_seed: u64,
-    total_jobs: u64,
-    worker_args: Vec<String>,
-    live_table: Option<LiveTable<'_>>,
-) -> FleetOutcome {
+    configs: &[Configuration],
+    campaign: &T::Campaign,
+    scale: &[usize],
+) -> ! {
+    let (seed, total_jobs) = (campaign.seed(), campaign.job_count());
     let options = fleet_options(cli);
     let mut coordinator = Coordinator::new(options.clone(), total_jobs).unwrap_or_else(|e| fail(e));
     let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
-    let plan = FaultPlan::resolve(&spec, campaign_seed, total_jobs);
+    let plan = FaultPlan::resolve(&spec, seed, total_jobs);
     if let Ok(mut log) = std::fs::File::create(options.journal_dir.join("faults.log")) {
-        let _ = writeln!(log, "campaign-seed {campaign_seed:016x} jobs {total_jobs}");
+        let _ = writeln!(log, "campaign-seed {seed:016x} jobs {total_jobs}");
         let _ = writeln!(log, "schedule {plan}");
     }
+    let merge = |journals: &[PathBuf]| {
+        let (merged, tally, summary) = merge_journals::<T::Campaign>(journals, configs)?;
+        let provenance = Provenance::Merged {
+            jobs: summary.jobs_folded,
+        };
+        Ok::<_, fuzz_harness::JournalError>((T::render(&merged, &tally, &provenance), summary))
+    };
+
+    let mut worker_args = vec!["worker".to_string()];
+    worker_args.extend(scale.iter().map(usize::to_string));
+    worker_args.extend(forwarded_worker_flags(cli));
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
     let mut spawn = move |_slot: usize| {
         let mut command = Command::new(&exe);
@@ -116,7 +123,7 @@ pub fn run_coordinator(
     };
     let journal_dir = options.journal_dir.clone();
     let mut completed: Vec<PathBuf> = Vec::new();
-    let mut follow = move |line: &str| {
+    let mut follow = |line: &str| {
         eprintln!("fleet: {line}");
         let Some(rest) = line.strip_prefix("DONE lease=") else {
             return;
@@ -134,9 +141,8 @@ pub fn run_coordinator(
         if !completed.contains(&path) {
             completed.push(path);
         }
-        let Some(render) = live_table else { return };
-        match render(&completed) {
-            Ok(table) => {
+        match merge(&completed) {
+            Ok((table, _)) => {
                 eprintln!("fleet: partial table after {} lease(s):", completed.len());
                 for table_line in table.lines() {
                     eprintln!("fleet: {table_line}");
@@ -150,15 +156,25 @@ pub fn run_coordinator(
     } else {
         None
     };
-    coordinator
+    let outcome = coordinator
         .run(&mut spawn, observer)
-        .unwrap_or_else(|e| fail(e))
+        .unwrap_or_else(|e| fail(e));
+
+    let status = report_fleet_outcome(&outcome);
+    if outcome.journals.is_empty() {
+        eprintln!("fleet: no lease completed; nothing to merge");
+        std::process::exit(status.max(1));
+    }
+    let (table, summary) = merge(&outcome.journals).unwrap_or_else(|e| fail(e));
+    report_refold_summary(&summary);
+    print!("{table}");
+    std::process::exit(status);
 }
 
 /// Reports a fleet run on stderr (stdout is reserved for the merged table)
 /// with explicit gap accounting, and returns the process exit code: 0 when
 /// complete, [`FLEET_EXIT_QUARANTINE`] when ranges were dead-lettered.
-pub fn report_fleet_outcome(outcome: &FleetOutcome) -> i32 {
+fn report_fleet_outcome(outcome: &FleetOutcome) -> i32 {
     eprintln!(
         "fleet: {}/{} job(s) over {} lease(s), {} retrie(s), {} respawn(s)",
         outcome.completed_jobs,
@@ -183,21 +199,17 @@ pub fn report_fleet_outcome(outcome: &FleetOutcome) -> i32 {
     FLEET_EXIT_QUARANTINE
 }
 
-/// Runs the worker side: serves leases from stdin until the coordinator
-/// hangs up, enacting this worker's share of the deterministic fault plan.
-///
-/// `run_lease` executes one lease's range — truncated to `stop_before`
-/// when a fault is scheduled — and returns the jobs executed.  Never
-/// returns normally except through process exit.
-pub fn worker_loop(
-    cli: &Cli,
-    campaign_seed: u64,
-    total_jobs: u64,
-    mut run_lease: impl FnMut(&LeaseRecord, Option<u64>) -> Result<u64, String>,
-) -> ! {
+/// Runs `<binary> worker`: serves leases of `campaign` from stdin until the
+/// coordinator hangs up, enacting this worker's share of the deterministic
+/// fault plan.  Each lease runs through `run_lease`, truncated at the
+/// fault's job index when one is scheduled.  Exits the process when done.
+pub fn serve<C: Campaign>(cli: &Cli, campaign: &C) -> ! {
     let spec = FaultSpec::from_env_or(cli.fleet.faults.as_deref()).unwrap_or_else(|e| fail(e));
-    let plan = FaultPlan::resolve(&spec, campaign_seed, total_jobs);
+    let plan = FaultPlan::resolve(&spec, campaign.seed(), campaign.job_count());
     plan.install_store_faults();
+    let checkpoint = CheckpointPolicy {
+        every: cli.fleet.checkpoint_every,
+    };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut input = stdin.lock();
@@ -205,11 +217,12 @@ pub fn worker_loop(
     let result = run_worker(&mut input, &mut output, &mut |lease| {
         let fault = plan.lease_action(&(lease.start..lease.end), lease.attempt);
         let stop_before = fault.as_ref().map(|f| f.stop_before);
-        let jobs = run_lease(lease, stop_before)?;
+        let run = run_lease(&cli.scheduler, campaign, lease, checkpoint, stop_before)
+            .map_err(|e| e.to_string())?;
         if let Some(fault) = fault {
             enact_lease_fault(&fault, lease);
         }
-        Ok(jobs)
+        Ok(run.metrics.jobs_replayed)
     });
     std::process::exit(if result.is_ok() { 0 } else { 1 });
 }

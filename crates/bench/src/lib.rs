@@ -6,33 +6,33 @@
 //! throughput, including how campaign wall-clock scales with the worker
 //! count of the `fuzz_harness::exec` scheduler.
 //!
-//! Every table binary accepts `--threads N` to pin the scheduler's worker
-//! count (default: `FUZZ_THREADS` or the machine's available parallelism;
-//! `N` must be at least 1 — a zero-worker pool could never drain its queue)
-//! and `--pipeline` to run campaign jobs as overlapping
-//! generate → execute → judge stages (default: `FUZZ_PIPELINE`, else whole
-//! jobs).  Neither flag ever changes the produced tables — only how fast
-//! they appear.
+//! The campaign binaries (`table1`, `table3`, `table4`, `table5`, `corpus`)
+//! are each a [`Table`] over a `fuzz_harness::Campaign`, and all of them run
+//! through [`campaign_main`], so they share one command line:
 //!
-//! The campaign binaries (`table1`, `table3`, `table4`, `table5`)
-//! additionally speak the shard/journal layer:
-//!
+//! * `--threads N` pins the scheduler's worker count (default:
+//!   `FUZZ_THREADS` or the machine's available parallelism; `N` must be at
+//!   least 1 — a zero-worker pool could never drain its queue).  It never
+//!   changes the produced tables — only how fast they appear;
 //! * `--shard I/N` runs shard `I` of an `N`-way split of the campaign's
 //!   job space (any subset of shards is independently computable — on any
 //!   machine — because job seeds derive from the job index);
 //! * `--journal PATH` records every completed job to a resumable journal;
 //! * `--resume` skips the jobs already in the journal (a half-written
 //!   record from a mid-write kill is detected by checksum and dropped);
-//! * `<binary> merge J1 [J2 ...]` refolds any subset of shard journals
-//!   into the (full or partial) table without re-running anything.
+//! * `<binary> merge J1 [J2 ...]` refolds any subset of shard or lease
+//!   journals into the (full or partial) table without re-running anything;
+//! * `<binary> coordinate [scale] --fleet-dir DIR` runs the campaign as a
+//!   crash-tolerant fleet of `<binary> worker` processes (see [`fleet`]),
+//!   with `--follow` streaming fleet events and the partial table live.
 //!
-//! Every table binary also speaks the cross-campaign outcome store:
+//! Every campaign binary also speaks the cross-campaign outcome store:
 //! `--store PATH` points executions at an on-disk outcome cache shared
 //! across runs (and across concurrent shard processes), `--no-store`
 //! disables it, and neither flag defers to the `CLFUZZ_STORE` environment
-//! variable.  Like the scheduler flags, the store never changes the
-//! produced tables — only how fast repeat executions resolve.
+//! variable.  The store never changes the produced tables either.
 //!
+//! Unknown flags and non-numeric scale arguments are usage errors (exit 2).
 //! Tables go to stdout; shard/resume/merge progress lines go to stderr, so
 //! merged outputs can be diffed byte for byte.
 
@@ -43,13 +43,28 @@ use std::sync::Arc;
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, RefoldSummary, ShardMetrics, ShardSelect};
-use fuzz_harness::{Scheduler, SchedulerMode};
-use opencl_sim::{ExecOptions, OutcomeStore};
+use fuzz_harness::{merge_journals, run_shard, Campaign, Scheduler};
+use opencl_sim::{Configuration, ExecOptions, OutcomeStore};
 
-/// Command-line options shared by the table binaries.
+/// What a campaign binary was asked to do (its first positional argument).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Command {
+    /// Run the campaign, or one `--shard` of it.
+    Run,
+    /// `merge J1 [J2 ...]`: refold journals into the table.
+    Merge(Vec<PathBuf>),
+    /// `coordinate`: run the campaign as a worker fleet.
+    Coordinate,
+    /// `worker`: serve a coordinator's leases over stdin/stdout.
+    Worker,
+}
+
+/// Command-line options shared by the campaign binaries.
 pub struct Cli {
-    /// Positional arguments (after flags are extracted).
-    pub positional: Vec<String>,
+    /// The subcommand.
+    pub command: Command,
+    /// The numeric positional arguments: the campaign's scale.
+    pub scale: Vec<usize>,
     /// The scheduler campaigns run on (`--threads N`, `FUZZ_THREADS`, or
     /// the machine's available parallelism).
     pub scheduler: Scheduler,
@@ -64,9 +79,6 @@ pub struct Cli {
     pub journal: Option<PathBuf>,
     /// Whether `--resume` was given (requires `--journal`).
     pub resume: bool,
-    /// Journal paths of the `merge` subcommand, when invoked as
-    /// `<binary> merge J1 [J2 ...]`.
-    pub merge: Option<Vec<PathBuf>>,
     /// Cross-campaign outcome store directory (`--store PATH`; defaults to
     /// `CLFUZZ_STORE` when unset).
     pub store: Option<PathBuf>,
@@ -164,6 +176,101 @@ impl Cli {
     }
 }
 
+/// A campaign binary: the campaign it runs and how the campaign's tally
+/// renders as its table.
+pub trait Table {
+    /// The campaign behind the table.
+    type Campaign: Campaign<Context = [Configuration]>;
+    /// Defaults of the positional scale arguments, in order.
+    const SCALE: &'static [usize];
+    /// The configurations the table spans.
+    fn configs() -> Vec<Configuration>;
+    /// Builds the campaign at `scale` (one value per [`Table::SCALE`]
+    /// entry), executing with `exec`.
+    fn campaign(
+        cli: &Cli,
+        configs: &[Configuration],
+        scale: &[usize],
+        exec: ExecOptions,
+    ) -> Self::Campaign;
+    /// Renders the table — title, provenance banner and body — of a tally.
+    fn render(campaign: &Self::Campaign, tally: &TallyOf<Self>, provenance: &Provenance) -> String;
+}
+
+/// The tally type of a [`Table`]'s campaign.
+pub type TallyOf<T> = <<T as Table>::Campaign as Campaign>::Tally;
+
+/// How a rendered table came about, which decides the banner under its
+/// title.
+#[derive(Debug, Clone, Copy)]
+pub enum Provenance {
+    /// A run over the whole job space, or one `--shard` of it.
+    Run {
+        /// Scheduler workers.
+        workers: usize,
+        /// The shard, when the run covered only part of the space.
+        shard: Option<ShardSelect>,
+        /// Jobs the tally covers.
+        jobs: u64,
+    },
+    /// Refolded from journals (`merge`, `coordinate`, `--follow`).
+    Merged {
+        /// Jobs the tally covers.
+        jobs: u64,
+    },
+}
+
+/// The `main` of every campaign binary: parses the shared command line and
+/// runs, merges, coordinates or serves `T`'s campaign.
+pub fn campaign_main<T: Table>() {
+    let cli = cli();
+    let configs = T::configs();
+    if let Command::Merge(paths) = &cli.command {
+        let (campaign, tally, summary) =
+            merge_journals::<T::Campaign>(paths, &configs).unwrap_or_else(|e| fail(e));
+        report_refold_summary(&summary);
+        let provenance = Provenance::Merged {
+            jobs: summary.jobs_folded,
+        };
+        print!("{}", T::render(&campaign, &tally, &provenance));
+        return;
+    }
+    if cli.scale.len() > T::SCALE.len() {
+        usage_error(format!(
+            "expected at most {} scale argument(s), got {}",
+            T::SCALE.len(),
+            cli.scale.len()
+        ));
+    }
+    let scale: Vec<usize> = T::SCALE
+        .iter()
+        .enumerate()
+        .map(|(i, default)| cli.scale.get(i).copied().unwrap_or(*default))
+        .collect();
+    let exec = cli.exec_options();
+    let campaign = T::campaign(&cli, &configs, &scale, exec.clone());
+    match cli.command {
+        Command::Coordinate => fleet::coordinate::<T>(&cli, &configs, &campaign, &scale),
+        Command::Worker => fleet::serve(&cli, &campaign),
+        Command::Run | Command::Merge(_) => {}
+    }
+    let run = run_shard(
+        &cli.scheduler,
+        &campaign,
+        cli.shard,
+        cli.journal_options().as_ref(),
+    )
+    .unwrap_or_else(|e| fail(e));
+    report_shard_metrics(&cli, &run.metrics);
+    report_store_stats(&exec);
+    let provenance = Provenance::Run {
+        workers: cli.scheduler.threads(),
+        shard: cli.is_sharded().then_some(cli.shard),
+        jobs: run.jobs,
+    };
+    print!("{}", T::render(&campaign, &run.aggregate, &provenance));
+}
+
 /// Prints a parse/validation error and exits with status 2.
 pub fn usage_error(message: impl std::fmt::Display) -> ! {
     eprintln!("error: {message}");
@@ -183,9 +290,8 @@ pub fn report_shard_metrics(cli: &Cli, metrics: &ShardMetrics) {
         return;
     }
     eprintln!(
-        "shard {} ({} scheduler): {} job(s) resumed from the journal, {} executed, journal {} byte(s){}",
+        "shard {}: {} job(s) resumed from the journal, {} executed, journal {} byte(s){}",
         cli.shard,
-        cli.scheduler.mode().name(),
         metrics.jobs_resumed,
         metrics.jobs_replayed,
         metrics.journal_bytes,
@@ -271,15 +377,22 @@ pub fn resolve_store(store: Option<&str>, no_store: bool) -> Result<Option<PathB
     }
 }
 
-/// Parses the command-line arguments shared by the table binaries:
-/// extracts `--threads N` (or `--threads=N`), `--pipeline`, `--paper-scale`,
-/// `--shard I/N`, `--journal PATH`, `--resume`, `--store PATH` and
-/// `--no-store`, recognises the `merge` subcommand, and returns them with
-/// the remaining positional arguments.
+/// Parses the process's command line ([`parse_cli`]), exiting with a usage
+/// error (status 2) when it is invalid.
 pub fn cli() -> Cli {
+    parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(e))
+}
+
+/// Parses the campaign binaries' command line: the `merge`, `coordinate`
+/// and `worker` subcommands, the numeric scale arguments, and the flags
+/// (`--threads N`, `--paper-scale`, `--shard I/N`, `--journal PATH`,
+/// `--resume`, `--store PATH`, `--no-store` and the fleet flags), each
+/// valued flag also accepted as `--flag=VALUE`.  Unknown flags and
+/// non-numeric scale arguments are errors.
+pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let mut args = args.into_iter();
     let mut positional = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut pipeline = false;
     let mut paper_scale = false;
     let mut shard = ShardSelect::whole();
     let mut journal: Option<PathBuf> = None;
@@ -287,151 +400,115 @@ pub fn cli() -> Cli {
     let mut store: Option<String> = None;
     let mut no_store = false;
     let mut fleet = FleetCliOptions::default();
-    let parse = |value: Option<String>| -> usize {
-        parse_threads(value.as_deref()).unwrap_or_else(|e| usage_error(e))
-    };
-    fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
         match value.as_deref().map(str::parse) {
-            Some(Ok(n)) => n,
-            _ => usage_error(format!(
+            Some(Ok(n)) => Ok(n),
+            _ => Err(format!(
                 "{flag} requires a number, got {:?}",
                 value.unwrap_or_default()
             )),
         }
     }
-    let parse_shard = |value: Option<String>| -> ShardSelect {
-        match value.as_deref().map(ShardSelect::parse) {
-            Some(Ok(s)) => s,
-            Some(Err(e)) => usage_error(e),
-            None => usage_error("--shard requires an I/N argument"),
-        }
-    };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            threads = Some(parse(args.next()));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            threads = Some(parse(Some(value.to_string())));
-        } else if arg == "--pipeline" {
-            pipeline = true;
-        } else if arg == "--paper-scale" {
-            paper_scale = true;
-        } else if arg == "--shard" {
-            shard = parse_shard(args.next());
-        } else if let Some(value) = arg.strip_prefix("--shard=") {
-            shard = parse_shard(Some(value.to_string()));
-        } else if arg == "--journal" {
-            match args.next() {
-                Some(path) => journal = Some(PathBuf::from(path)),
-                None => usage_error("--journal requires a path"),
-            }
-        } else if let Some(value) = arg.strip_prefix("--journal=") {
-            journal = Some(PathBuf::from(value));
-        } else if arg == "--resume" {
-            resume = true;
-        } else if arg == "--store" {
-            match args.next() {
-                Some(path) => store = Some(path),
-                None => usage_error("--store requires a path"),
-            }
-        } else if let Some(value) = arg.strip_prefix("--store=") {
-            store = Some(value.to_string());
-        } else if arg == "--no-store" {
-            no_store = true;
-        } else if arg == "--workers" {
-            fleet.workers = parse_num("--workers", args.next());
-        } else if let Some(value) = arg.strip_prefix("--workers=") {
-            fleet.workers = parse_num("--workers", Some(value.to_string()));
-        } else if arg == "--lease-jobs" {
-            fleet.lease_jobs = parse_num("--lease-jobs", args.next());
-        } else if let Some(value) = arg.strip_prefix("--lease-jobs=") {
-            fleet.lease_jobs = parse_num("--lease-jobs", Some(value.to_string()));
-        } else if arg == "--lease-timeout-ms" {
-            fleet.lease_timeout_ms = parse_num("--lease-timeout-ms", args.next());
-        } else if let Some(value) = arg.strip_prefix("--lease-timeout-ms=") {
-            fleet.lease_timeout_ms = parse_num("--lease-timeout-ms", Some(value.to_string()));
-        } else if arg == "--max-retries" {
-            fleet.max_retries = parse_num("--max-retries", args.next());
-        } else if let Some(value) = arg.strip_prefix("--max-retries=") {
-            fleet.max_retries = parse_num("--max-retries", Some(value.to_string()));
-        } else if arg == "--checkpoint-every" {
-            fleet.checkpoint_every = parse_num("--checkpoint-every", args.next());
-        } else if let Some(value) = arg.strip_prefix("--checkpoint-every=") {
-            fleet.checkpoint_every = parse_num("--checkpoint-every", Some(value.to_string()));
-        } else if arg == "--fleet-dir" {
-            match args.next() {
-                Some(path) => fleet.fleet_dir = Some(PathBuf::from(path)),
-                None => usage_error("--fleet-dir requires a path"),
-            }
-        } else if let Some(value) = arg.strip_prefix("--fleet-dir=") {
-            fleet.fleet_dir = Some(PathBuf::from(value));
-        } else if arg == "--faults" {
-            match args.next() {
-                Some(spec) => fleet.faults = Some(spec),
-                None => usage_error("--faults requires a spec (e.g. kill@3,torn@5)"),
-            }
-        } else if let Some(value) = arg.strip_prefix("--faults=") {
-            fleet.faults = Some(value.to_string());
-        } else if arg == "--follow" {
-            fleet.follow = true;
-        } else {
+        if !arg.starts_with("--") {
             positional.push(arg);
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+            None => (arg.clone(), None),
+        };
+        let switch = inline.is_none();
+        let mut value = || inline.clone().or_else(|| args.next());
+        match flag.as_str() {
+            "--threads" => threads = Some(parse_threads(value().as_deref())?),
+            "--shard" => {
+                shard = ShardSelect::parse(&value().ok_or("--shard requires an I/N argument")?)?
+            }
+            "--journal" => {
+                journal = Some(PathBuf::from(value().ok_or("--journal requires a path")?))
+            }
+            "--store" => store = Some(value().ok_or("--store requires a path")?),
+            "--workers" => fleet.workers = number(&flag, value())?,
+            "--lease-jobs" => fleet.lease_jobs = number(&flag, value())?,
+            "--lease-timeout-ms" => fleet.lease_timeout_ms = number(&flag, value())?,
+            "--max-retries" => fleet.max_retries = number(&flag, value())?,
+            "--checkpoint-every" => fleet.checkpoint_every = number(&flag, value())?,
+            "--fleet-dir" => {
+                fleet.fleet_dir = Some(PathBuf::from(value().ok_or("--fleet-dir requires a path")?))
+            }
+            "--faults" => {
+                fleet.faults = Some(value().ok_or("--faults requires a spec (e.g. kill@3,torn@5)")?)
+            }
+            "--paper-scale" if switch => paper_scale = true,
+            "--resume" if switch => resume = true,
+            "--no-store" if switch => no_store = true,
+            "--follow" if switch => fleet.follow = true,
+            "--paper-scale" | "--resume" | "--no-store" | "--follow" => {
+                return Err(format!("{flag} takes no value, got {arg:?}"))
+            }
+            _ => return Err(format!("unknown flag {arg:?}")),
         }
     }
     if fleet.workers == 0 {
-        usage_error("--workers must be at least 1");
+        return Err("--workers must be at least 1".to_string());
     }
     if fleet.lease_jobs == 0 {
-        usage_error("--lease-jobs must be at least 1");
+        return Err("--lease-jobs must be at least 1".to_string());
     }
     if fleet.checkpoint_every == 0 {
-        usage_error("--checkpoint-every must be at least 1");
+        return Err("--checkpoint-every must be at least 1".to_string());
     }
-    let store = resolve_store(store.as_deref(), no_store).unwrap_or_else(|e| usage_error(e));
-    let merge = if positional.first().map(String::as_str) == Some("merge") {
-        let paths: Vec<PathBuf> = positional[1..].iter().map(PathBuf::from).collect();
-        if paths.is_empty() {
-            usage_error("merge requires at least one journal path");
+    let store = resolve_store(store.as_deref(), no_store)?;
+    let command = match positional.first().map(String::as_str) {
+        Some("merge") => {
+            let paths: Vec<PathBuf> = positional.drain(..).skip(1).map(PathBuf::from).collect();
+            if paths.is_empty() {
+                return Err("merge requires at least one journal path".to_string());
+            }
+            Command::Merge(paths)
         }
-        Some(paths)
-    } else {
-        None
+        Some("coordinate") => Command::Coordinate,
+        Some("worker") => Command::Worker,
+        _ => Command::Run,
     };
+    if matches!(command, Command::Coordinate | Command::Worker) {
+        positional.remove(0);
+    }
+    let scale = positional
+        .iter()
+        .map(|arg| {
+            arg.parse::<usize>()
+                .map_err(|_| format!("expected a non-negative integer argument, got {arg:?}"))
+        })
+        .collect::<Result<Vec<usize>, String>>()?;
     if resume && journal.is_none() {
-        usage_error("--resume requires --journal PATH");
+        return Err("--resume requires --journal PATH".to_string());
     }
-    if merge.is_some() && (journal.is_some() || resume || shard.count > 1) {
-        usage_error("merge takes only journal paths (no --shard/--journal/--resume)");
+    if matches!(command, Command::Merge(_)) && (journal.is_some() || resume || shard.count > 1) {
+        return Err("merge takes only journal paths (no --shard/--journal/--resume)".to_string());
     }
-    // `--threads N` pins the worker count but still honours `FUZZ_PIPELINE`;
-    // `--pipeline` then forces the pipelined mode either way.
-    let mut scheduler = threads
-        .map(|n| Scheduler::new(n).with_mode(SchedulerMode::from_env()))
-        .unwrap_or_else(Scheduler::from_env);
-    if pipeline {
-        scheduler = scheduler.with_mode(SchedulerMode::Pipelined);
-    }
-    Cli {
-        positional: if merge.is_some() {
-            Vec::new()
-        } else {
-            positional
-        },
-        scheduler,
+    Ok(Cli {
+        command,
+        scale,
+        scheduler: threads.map_or_else(Scheduler::from_env, Scheduler::new),
         paper_scale,
         shard,
         journal,
         resume,
-        merge,
         store,
         no_store,
         fleet,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_cli(args.iter().map(|a| a.to_string()))
+    }
 
     #[test]
     fn threads_argument_rejects_zero_and_garbage() {
@@ -456,5 +533,59 @@ mod tests {
         assert!(resolve_store(Some(""), false)
             .unwrap_err()
             .contains("non-empty"));
+    }
+
+    #[test]
+    fn cli_parses_scale_flags_and_subcommands() {
+        let cli = parse(&[
+            "4",
+            "--threads",
+            "2",
+            "--shard=1/3",
+            "--journal",
+            "run.journal",
+            "--resume",
+            "--paper-scale",
+        ])
+        .unwrap();
+        assert_eq!(cli.command, Command::Run);
+        assert_eq!(cli.scale, vec![4]);
+        assert_eq!(cli.scheduler.threads(), 2);
+        assert_eq!(cli.shard, ShardSelect { index: 1, count: 3 });
+        assert_eq!(cli.journal, Some(PathBuf::from("run.journal")));
+        assert!(cli.resume && cli.paper_scale);
+
+        let cli = parse(&["merge", "a.journal", "b.journal"]).unwrap();
+        let paths = vec![PathBuf::from("a.journal"), PathBuf::from("b.journal")];
+        assert_eq!(cli.command, Command::Merge(paths));
+        assert!(cli.scale.is_empty());
+
+        let cli = parse(&["coordinate", "2", "5", "--fleet-dir", "d", "--follow"]).unwrap();
+        assert_eq!(cli.command, Command::Coordinate);
+        assert_eq!(cli.scale, vec![2, 5]);
+        assert_eq!(cli.fleet.fleet_dir, Some(PathBuf::from("d")));
+        assert!(cli.fleet.follow);
+        assert_eq!(parse(&["worker", "3"]).unwrap().command, Command::Worker);
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags_and_unparsable_scale() {
+        for args in [
+            &["--pipline", "4"][..],
+            &["four"],
+            &["4", "-1"],
+            &["coordinate", "x"],
+            &["--resume=yes", "--journal", "j"],
+            &["--resume"],
+            &["merge"],
+            &["merge", "a.journal", "--shard", "0/2"],
+            &["--workers", "0"],
+            &["--shard", "2/2"],
+            &["--threads"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} should not parse");
+        }
+        let err = parse(&["--pipline", "4"]).err().unwrap();
+        assert!(err.contains("unknown flag"), "got: {err}");
     }
 }

@@ -1,23 +1,38 @@
-//! End-to-end chaos test for the fleet coordinator: a `table1 coordinate`
+//! End-to-end chaos test for the fleet coordinator: a `<binary> coordinate`
 //! run with worker kills, torn journal tails and hung lease renewals must
-//! produce a merged table byte-identical to `table1 merge` over a fault-free
-//! batch journal of the same campaign — the PR's core crash-tolerance
-//! invariant — and exhausted retries must quarantine the poisoned range
-//! instead of wedging the fleet.
+//! produce a merged table byte-identical to `<binary> merge` over a
+//! fault-free batch journal of the same campaign — the core crash-tolerance
+//! invariant, pinned for `table1` and `table5` — and exhausted retries must
+//! quarantine the poisoned range instead of wedging the fleet.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Kernels per mode: 12 jobs total (6 modes x 2), four 3-job leases.
-const KERNELS: &str = "2";
+/// A campaign binary and the scale arguments its differential runs at.
+struct Binary {
+    path: &'static str,
+    scale: &'static [&'static str],
+}
+
+/// Two kernels per mode: 12 jobs total (6 modes x 2), four 3-job leases.
+const TABLE1: Binary = Binary {
+    path: env!("CARGO_BIN_EXE_table1"),
+    scale: &["2"],
+};
+/// Eight live bases with two pruning variants each: 8 jobs, three leases
+/// (3 + 3 + 2 jobs).
+const TABLE5: Binary = Binary {
+    path: env!("CARGO_BIN_EXE_table5"),
+    scale: &["8", "2"],
+};
 /// One fault in lease 1 attempt 1 (kill@3), one in lease 1 attempt 2
 /// (hang@5), one in lease 2 attempt 1 (torn@7); every lease still has a
 /// fault-free attempt within the default retry budget.
 const FAULTS: &str = "kill@3,hang@5,torn@7";
 
-fn table1() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table1"));
+fn command(binary: &Binary) -> Command {
+    let mut cmd = Command::new(binary.path);
     // The ambient environment must not redirect the store or inject extra
     // faults into either side of the differential.
     for var in [
@@ -25,7 +40,6 @@ fn table1() -> Command {
         "CLFUZZ_STORE",
         "CLFUZZ_STORE_CAP",
         "FUZZ_THREADS",
-        "FUZZ_PIPELINE",
     ] {
         cmd.env_remove(var);
     }
@@ -50,29 +64,37 @@ fn assert_success(out: &Output, what: &str) {
 
 /// The canonical merged table: a fault-free single-process batch run
 /// journalled to disk, refolded by the `merge` subcommand.
-fn batch_baseline(dir: &Path) -> Vec<u8> {
+fn batch_baseline(binary: &Binary, dir: &Path) -> Vec<u8> {
     let journal = dir.join("batch.journal");
-    let batch = table1()
-        .arg(KERNELS)
+    let batch = command(binary)
+        .args(binary.scale)
         .arg("--no-store")
         .arg("--journal")
         .arg(&journal)
         .output()
-        .expect("spawn batch table1");
+        .expect("spawn batch run");
     assert_success(&batch, "batch run");
-    let merged = table1()
+    let merged = command(binary)
         .arg("merge")
         .arg(&journal)
         .output()
-        .expect("spawn table1 merge");
+        .expect("spawn merge");
     assert_success(&merged, "batch merge");
     assert!(!merged.stdout.is_empty(), "baseline table is empty");
     merged.stdout
 }
 
-fn coordinate(fleet_dir: &Path, workers: &str, faults: &str, extra: &[&str]) -> Output {
-    table1()
-        .args(["coordinate", KERNELS, "--no-store"])
+fn coordinate(
+    binary: &Binary,
+    fleet_dir: &Path,
+    workers: &str,
+    faults: &str,
+    extra: &[&str],
+) -> Output {
+    command(binary)
+        .arg("coordinate")
+        .args(binary.scale)
+        .arg("--no-store")
         .args(["--workers", workers])
         .args(["--lease-jobs", "3"])
         .args(["--lease-timeout-ms", "2000"])
@@ -81,16 +103,17 @@ fn coordinate(fleet_dir: &Path, workers: &str, faults: &str, extra: &[&str]) -> 
         .arg("--fleet-dir")
         .arg(fleet_dir)
         .output()
-        .expect("spawn table1 coordinate")
+        .expect("spawn coordinate")
 }
 
-#[test]
-fn fleet_under_faults_matches_batch_at_two_worker_counts() {
-    let dir = scratch_dir("diff");
-    let baseline = batch_baseline(&dir);
-    for workers in ["2", "3"] {
+/// The fault differential for one binary: the fleet under [`FAULTS`] at
+/// each worker count must print the batch merge's table byte for byte.
+fn fleet_under_faults_matches_batch(binary: &Binary, tag: &str, worker_counts: &[&str]) {
+    let dir = scratch_dir(tag);
+    let baseline = batch_baseline(binary, &dir);
+    for &workers in worker_counts {
         let fleet_dir = dir.join(format!("fleet-w{workers}"));
-        let out = coordinate(&fleet_dir, workers, FAULTS, &[]);
+        let out = coordinate(binary, &fleet_dir, workers, FAULTS, &[]);
         assert_success(&out, &format!("fleet coordinate ({workers} workers)"));
         assert_eq!(
             out.stdout,
@@ -114,13 +137,29 @@ fn fleet_under_faults_matches_batch_at_two_worker_counts() {
 }
 
 #[test]
+fn fleet_under_faults_matches_batch_at_two_worker_counts() {
+    fleet_under_faults_matches_batch(&TABLE1, "diff", &["2", "3"]);
+}
+
+#[test]
+fn table5_fleet_under_faults_matches_batch() {
+    fleet_under_faults_matches_batch(&TABLE5, "table5-diff", &["2"]);
+}
+
+#[test]
 fn exhausted_retries_quarantine_the_range_and_exit_nonzero() {
     let dir = scratch_dir("quarantine");
     let fleet_dir = dir.join("fleet");
     // Every attempt on lease 0 is killed; with a single retry the range is
     // poisoned, the rest of the fleet completes, and the coordinator exits
     // with the quarantine code instead of hanging.
-    let out = coordinate(&fleet_dir, "2", "kill@0x99", &["--max-retries", "1"]);
+    let out = coordinate(
+        &TABLE1,
+        &fleet_dir,
+        "2",
+        "kill@0x99",
+        &["--max-retries", "1"],
+    );
     assert_eq!(
         out.status.code(),
         Some(bench::fleet::FLEET_EXIT_QUARANTINE),

@@ -5,13 +5,11 @@ use crate::differential::{classify, run_on_targets, targets_for, TestTarget, Ver
 use crate::exec::{job_seed, PipelineMetrics, Scheduler, StagedJob};
 use crate::journal::{checksum, JournalError};
 use crate::shard::{
-    lease_header, parse_fields, refold_journals, run_range_fold, run_sharded, CheckpointPolicy,
-    FoldRun, JournalOptions, JournalPayload, Mergeable, RefoldSummary, ShardMetrics, ShardSelect,
-    ShardSpec,
+    merge_journals, parse_fields, run_shard, Campaign, JournalOptions, JournalPayload, Mergeable,
+    RefoldSummary, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, GenMode, GeneratorOptions};
 use opencl_sim::{Configuration, ExecOptions, OptLevel, TestOutcome};
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -84,22 +82,21 @@ impl TargetStats {
         )
     }
 
-    /// Parses a count token.  Accepts the legacy five-count form (journals
-    /// written before the static pre-filter existed) with `skipped = 0`.
+    /// Parses a count token produced by [`TargetStats::to_token`].
     pub(crate) fn from_token(token: &str) -> Result<TargetStats, JournalError> {
         let fields = parse_fields::<usize>(token, ',', "target stats")?;
-        if fields.len() != 5 && fields.len() != 6 {
+        let [wrong, build_failures, crashes, timeouts, ok, skipped] = fields[..] else {
             return Err(JournalError::Format(format!(
-                "expected 5 or 6 target-stat counts, got {token:?}"
+                "expected 6 target-stat counts, got {token:?}"
             )));
-        }
+        };
         Ok(TargetStats {
-            wrong: fields[0],
-            build_failures: fields[1],
-            crashes: fields[2],
-            timeouts: fields[3],
-            ok: fields[4],
-            skipped: fields.get(5).copied().unwrap_or(0),
+            wrong,
+            build_failures,
+            crashes,
+            timeouts,
+            ok,
+            skipped,
         })
     }
 
@@ -336,9 +333,8 @@ impl Default for CampaignOptions {
 /// job-derived seed, run it on every target, vote.  The target list is
 /// shared read-only state behind an [`Arc`].
 ///
-/// A [`StagedJob`]: under the scheduler's pipelined mode the three stages
-/// below run on whichever worker is free, so one worker can execute kernel
-/// *k* while another generates kernel *k+1*.
+/// A [`StagedJob`], so the scheduler times its generate, execute and judge
+/// stages separately.
 #[derive(Debug, Clone)]
 pub struct KernelJob {
     /// Generation mode.
@@ -557,37 +553,123 @@ pub struct ShardedModeCampaign {
     pub tally: MultiModeTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the underlying staged run.
+    /// Stage timing metrics of the underlying staged run.
     pub pipeline: PipelineMetrics,
 }
 
-/// Builds per-mode results from a tally (used by sharded runs and journal
-/// merges alike, so both render through the identical path).
-fn mode_results_from_tally(
-    modes: &[GenMode],
-    targets: &[TestTarget],
-    tally: &MultiModeTally,
-) -> Vec<CampaignResult> {
-    modes
-        .iter()
-        .zip(&tally.per_mode)
-        .map(|(mode, mode_tally)| CampaignResult {
-            mode: *mode,
-            kernels: mode_tally.kernels(),
-            targets: targets.to_vec(),
-            stats: mode_tally.per_target.clone(),
-        })
-        .collect()
-}
-
-/// Runs one shard of a (multi-)mode campaign (Table 4 submits all six
-/// modes as one job space) with an optional resumable journal.
+/// A (multi-)mode CLsmith campaign (Table 4 submits all six modes as one
+/// job space) as a [`Campaign`].
 ///
 /// The job space is mode-major: job `g` is kernel `g % kernels` of mode
 /// `g / kernels`, seeded `job_seed(options.seed_offset, g % kernels)` —
 /// exactly the seed each kernel had under the historical per-mode
 /// campaigns, so sharded, resumed and merged runs reproduce their tallies
 /// bit for bit.
+#[derive(Debug, Clone)]
+pub struct ModesCampaign {
+    /// The modes, in job-space order.
+    pub modes: Vec<GenMode>,
+    /// Campaign scale (`options.kernels` kernels per mode).
+    pub options: CampaignOptions,
+    /// The targets, in column order.
+    pub targets: Arc<Vec<TestTarget>>,
+}
+
+impl ModesCampaign {
+    /// The campaign over `modes` against `configs` at both optimisation
+    /// levels.
+    pub fn new(modes: &[GenMode], configs: &[Configuration], options: &CampaignOptions) -> Self {
+        ModesCampaign {
+            modes: modes.to_vec(),
+            options: options.clone(),
+            targets: Arc::new(targets_for(configs)),
+        }
+    }
+
+    /// Per-mode results of a tally (shards and merges render through this
+    /// one path).
+    pub fn results(&self, tally: &MultiModeTally) -> Vec<CampaignResult> {
+        self.modes
+            .iter()
+            .zip(&tally.per_mode)
+            .map(|(mode, mode_tally)| CampaignResult {
+                mode: *mode,
+                kernels: mode_tally.kernels(),
+                targets: self.targets.to_vec(),
+                stats: mode_tally.per_target.clone(),
+            })
+            .collect()
+    }
+}
+
+impl Campaign for ModesCampaign {
+    type Job = KernelJob;
+    type Record = Vec<Verdict>;
+    type Tally = MultiModeTally;
+    type Context = [Configuration];
+
+    fn descriptor(&self) -> String {
+        mode_campaign_descriptor(
+            &self.modes,
+            self.options.kernels,
+            &self.options.generator,
+            &self.targets,
+        )
+    }
+
+    fn parse(descriptor: &str, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let targets = targets_for(configs);
+        let (modes, kernels) = parse_mode_campaign_descriptor(descriptor, &targets)?;
+        let options = CampaignOptions {
+            kernels,
+            ..CampaignOptions::default()
+        };
+        Ok(ModesCampaign::new(&modes, configs, &options))
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.seed_offset
+    }
+
+    fn job_count(&self) -> u64 {
+        (self.modes.len() * self.options.kernels) as u64
+    }
+
+    fn job(&self, g: u64) -> (u64, KernelJob) {
+        let kernels = self.options.kernels as u64;
+        let mode = self.modes[(g / kernels) as usize];
+        let seed = job_seed(self.options.seed_offset, g % kernels);
+        (seed, kernel_job(mode, seed, &self.options, &self.targets))
+    }
+
+    fn tally(&self) -> MultiModeTally {
+        MultiModeTally::new(self.modes.len(), self.targets.len())
+    }
+
+    fn fold(&self, tally: &mut MultiModeTally, g: u64, verdicts: Vec<Verdict>) {
+        tally.per_mode[(g / self.options.kernels as u64) as usize].record(&verdicts);
+    }
+}
+
+/// The [`KernelJob`] for one kernel of a campaign.
+fn kernel_job(
+    mode: GenMode,
+    seed: u64,
+    options: &CampaignOptions,
+    targets: &Arc<Vec<TestTarget>>,
+) -> KernelJob {
+    KernelJob {
+        mode,
+        seed,
+        generator: options.generator.clone(),
+        exec: options.exec.clone(),
+        prefilter: options.prefilter,
+        targets: Arc::clone(targets),
+    }
+}
+
+/// Runs one shard of a (multi-)mode campaign ([`ModesCampaign`]) with an
+/// optional resumable journal.
 pub fn run_modes_campaign_sharded(
     scheduler: &Scheduler,
     modes: &[GenMode],
@@ -596,87 +678,14 @@ pub fn run_modes_campaign_sharded(
     select: ShardSelect,
     journal: Option<&JournalOptions>,
 ) -> Result<ShardedModeCampaign, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let kernels = options.kernels;
-    let descriptor = mode_campaign_descriptor(modes, kernels, &options.generator, &targets);
-    let total_jobs = (modes.len() * kernels) as u64;
-    let spec = ShardSpec::select(options.seed_offset, total_jobs, select);
-    let run = run_sharded::<KernelJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        mode_campaign_job(g, modes, options, &targets)
-    })?;
-    let mut tally = MultiModeTally::new(modes.len(), targets.len());
-    for (g, verdicts) in &run.outputs {
-        tally.per_mode[(g / kernels as u64) as usize].record(verdicts);
-    }
+    let campaign = ModesCampaign::new(modes, configs, options);
+    let run = run_shard(scheduler, &campaign, select, journal)?;
     Ok(ShardedModeCampaign {
-        results: mode_results_from_tally(modes, &targets, &tally),
-        tally,
+        results: campaign.results(&run.aggregate),
+        tally: run.aggregate,
         metrics: run.metrics,
         pipeline: run.pipeline,
     })
-}
-
-/// Job `g` of a (multi-)mode campaign's mode-major job space: kernel
-/// `g % kernels` of mode `g / kernels`, with the historical per-mode seed
-/// derivation (see [`run_modes_campaign_sharded`]).
-fn mode_campaign_job(
-    g: u64,
-    modes: &[GenMode],
-    options: &CampaignOptions,
-    targets: &Arc<Vec<TestTarget>>,
-) -> (u64, KernelJob) {
-    let kernels = options.kernels as u64;
-    let mode = modes[(g / kernels) as usize];
-    let seed = job_seed(options.seed_offset, g % kernels);
-    (
-        seed,
-        KernelJob {
-            mode,
-            seed,
-            generator: options.generator.clone(),
-            exec: options.exec.clone(),
-            prefilter: options.prefilter,
-            targets: Arc::clone(targets),
-        },
-    )
-}
-
-/// One lease's worth of a (multi-)mode campaign, executed by a fleet
-/// worker: jobs `[range.start, range.end)` of the same mode-major job
-/// space as [`run_modes_campaign_sharded`], run through the fold-based
-/// checkpointing executor under a lease journal header.  Seeds, job order
-/// and the tally fold are identical to the sharded form, so any partition
-/// of the space into leases merges bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_modes_campaign_range(
-    scheduler: &Scheduler,
-    modes: &[GenMode],
-    configs: &[Configuration],
-    options: &CampaignOptions,
-    lease: u32,
-    range: Range<u64>,
-    journal: Option<&JournalOptions>,
-    checkpoint: Option<CheckpointPolicy>,
-    stop_before: Option<u64>,
-) -> Result<FoldRun<MultiModeTally>, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let kernels = options.kernels;
-    let descriptor = mode_campaign_descriptor(modes, kernels, &options.generator, &targets);
-    let total_jobs = (modes.len() * kernels) as u64;
-    let header = lease_header(&descriptor, options.seed_offset, total_jobs, lease, range);
-    let (modes_len, targets_len) = (modes.len(), targets.len());
-    run_range_fold::<KernelJob, MultiModeTally, _, _>(
-        scheduler,
-        &header,
-        journal,
-        checkpoint,
-        stop_before,
-        |g| mode_campaign_job(g, modes, options, &targets),
-        || MultiModeTally::new(modes_len, targets_len),
-        |tally, g, verdicts| {
-            tally.per_mode[(g / kernels as u64) as usize].record(&verdicts);
-        },
-    )
 }
 
 /// Merges any subset of a mode campaign's shard journals back into per-mode
@@ -686,21 +695,8 @@ pub fn merge_mode_campaign_journals(
     paths: &[PathBuf],
     configs: &[Configuration],
 ) -> Result<(Vec<CampaignResult>, RefoldSummary), JournalError> {
-    let targets = targets_for(configs);
-    let first = paths.first().ok_or_else(|| {
-        JournalError::Mismatch("no journals to merge (expected at least one path)".into())
-    })?;
-    let header = crate::journal::load_journal(first)?.header;
-    let (modes, kernels) = parse_mode_campaign_descriptor(&header.campaign, &targets)?;
-    let (tally, summary) = refold_journals::<Vec<Verdict>, MultiModeTally>(
-        paths,
-        |campaign| campaign == header.campaign,
-        |_| Ok(MultiModeTally::new(modes.len(), targets.len())),
-        |tally, g, verdicts| {
-            tally.per_mode[(g / kernels as u64) as usize].record(&verdicts);
-        },
-    )?;
-    Ok((mode_results_from_tally(&modes, &targets, &tally), summary))
+    let (campaign, tally, summary) = merge_journals::<ModesCampaign>(paths, configs)?;
+    Ok((campaign.results(&tally), summary))
 }
 
 /// Runs a CLsmith campaign for one mode against the given configurations
@@ -784,16 +780,8 @@ pub fn classify_configurations(
 
 /// [`classify_configurations`] on an explicit scheduler — a thin fold over
 /// the shard executor ([`classify_configurations_sharded`]) covering the
-/// whole job space with no journal.
-///
-/// All six modes' kernel jobs are submitted as **one** scheduler batch
-/// (mode-major job order), so the pool drains a single queue instead of
-/// barriering five times between per-mode campaigns.  Each job keeps the
-/// exact seed it had under the historical per-mode submission
-/// (`job_seed(seed_offset + mode_index * 100_000, kernel_index)`), and
-/// verdicts are folded in job-index — i.e. mode — order, so the pooled
-/// per-configuration tallies are bit-identical to the barriered form at any
-/// worker count.
+/// whole job space with no journal (see [`ClassificationCampaign`] for the
+/// job space and seeding).
 pub fn classify_configurations_with(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -932,15 +920,96 @@ pub struct ShardedClassification {
     pub tally: ClassificationTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the underlying staged run.
+    /// Stage timing metrics of the underlying staged run.
     pub pipeline: PipelineMetrics,
 }
 
-/// Runs one shard of the §7.1 classification with an optional resumable
-/// journal.  The job space is mode-major over all six modes
-/// (`GenMode::ALL.len() * kernels_per_mode` jobs); seeds keep the
-/// historical derivation `job_seed(seed_offset + mode_index * 100_000,
-/// kernel_index)`.
+/// The §7.1 reliability classification as a [`Campaign`].
+///
+/// The job space is mode-major over all six modes
+/// (`GenMode::ALL.len() * kernels_per_mode` jobs), submitted as **one**
+/// batch so the pool drains a single queue instead of barriering between
+/// per-mode campaigns.  Job seeds keep the historical per-mode derivation
+/// `job_seed(seed_offset + mode_index * 100_000, kernel_index)`, and
+/// verdicts fold in job-index order, so the pooled per-configuration
+/// tallies are bit-identical to the barriered form at any worker count.
+#[derive(Debug, Clone)]
+pub struct ClassificationCampaign {
+    /// Kernels per generation mode.
+    pub kernels_per_mode: usize,
+    /// Campaign scale (`options.kernels` is ignored).
+    pub options: CampaignOptions,
+    /// The targets: every configuration at both optimisation levels, in
+    /// row order.
+    pub targets: Arc<Vec<TestTarget>>,
+}
+
+impl ClassificationCampaign {
+    /// The classification of `configs` over `kernels_per_mode` kernels from
+    /// each mode.
+    pub fn new(
+        configs: &[Configuration],
+        kernels_per_mode: usize,
+        options: &CampaignOptions,
+    ) -> Self {
+        ClassificationCampaign {
+            kernels_per_mode,
+            options: options.clone(),
+            targets: Arc::new(targets_for(configs)),
+        }
+    }
+}
+
+impl Campaign for ClassificationCampaign {
+    type Job = KernelJob;
+    type Record = Vec<Verdict>;
+    type Tally = ClassificationTally;
+    type Context = [Configuration];
+
+    fn descriptor(&self) -> String {
+        classification_descriptor(
+            self.kernels_per_mode,
+            &self.options.generator,
+            &self.targets,
+        )
+    }
+
+    fn parse(descriptor: &str, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let campaign = ClassificationCampaign::new(configs, 0, &CampaignOptions::default());
+        let kernels_per_mode = validate_classification_descriptor(descriptor, &campaign.targets)?;
+        Ok(ClassificationCampaign {
+            kernels_per_mode,
+            ..campaign
+        })
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.seed_offset
+    }
+
+    fn job_count(&self) -> u64 {
+        (GenMode::ALL.len() * self.kernels_per_mode) as u64
+    }
+
+    fn job(&self, g: u64) -> (u64, KernelJob) {
+        let mode_index = (g / self.kernels_per_mode as u64) as usize;
+        let seed_offset = self.options.seed_offset + (mode_index as u64) * 100_000;
+        let seed = job_seed(seed_offset, g % self.kernels_per_mode as u64);
+        let mode = GenMode::ALL[mode_index];
+        (seed, kernel_job(mode, seed, &self.options, &self.targets))
+    }
+
+    fn tally(&self) -> ClassificationTally {
+        ClassificationTally::new(self.targets.len() / OptLevel::BOTH.len())
+    }
+
+    fn fold(&self, tally: &mut ClassificationTally, _: u64, verdicts: Vec<Verdict>) {
+        tally.record(&verdicts);
+    }
+}
+
+/// Runs one shard of the §7.1 classification ([`ClassificationCampaign`])
+/// with an optional resumable journal.
 pub fn classify_configurations_sharded(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -949,83 +1018,14 @@ pub fn classify_configurations_sharded(
     select: ShardSelect,
     journal: Option<&JournalOptions>,
 ) -> Result<ShardedClassification, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let descriptor = classification_descriptor(kernels_per_mode, &options.generator, &targets);
-    let total_jobs = (GenMode::ALL.len() * kernels_per_mode) as u64;
-    let spec = ShardSpec::select(options.seed_offset, total_jobs, select);
-    let run = run_sharded::<KernelJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        classification_job(g, kernels_per_mode, options, &targets)
-    })?;
-    let mut tally = ClassificationTally::new(configs.len());
-    for (_, verdicts) in &run.outputs {
-        tally.record(verdicts);
-    }
+    let campaign = ClassificationCampaign::new(configs, kernels_per_mode, options);
+    let run = run_shard(scheduler, &campaign, select, journal)?;
     Ok(ShardedClassification {
-        rows: reliability_rows(configs, &tally),
-        tally,
+        rows: reliability_rows(configs, &run.aggregate),
+        tally: run.aggregate,
         metrics: run.metrics,
         pipeline: run.pipeline,
     })
-}
-
-/// Job `g` of the §7.1 classification's mode-major job space, with the
-/// historical seed derivation
-/// `job_seed(seed_offset + mode_index * 100_000, kernel_index)`.
-fn classification_job(
-    g: u64,
-    kernels_per_mode: usize,
-    options: &CampaignOptions,
-    targets: &Arc<Vec<TestTarget>>,
-) -> (u64, KernelJob) {
-    let mode_index = (g / kernels_per_mode as u64) as usize;
-    let seed_offset = options.seed_offset + (mode_index as u64) * 100_000;
-    let seed = job_seed(seed_offset, g % kernels_per_mode as u64);
-    (
-        seed,
-        KernelJob {
-            mode: GenMode::ALL[mode_index],
-            seed,
-            generator: options.generator.clone(),
-            exec: options.exec.clone(),
-            prefilter: options.prefilter,
-            targets: Arc::clone(targets),
-        },
-    )
-}
-
-/// One lease's worth of the §7.1 classification, executed by a fleet
-/// worker: jobs `[range.start, range.end)` of the same mode-major job space
-/// as [`classify_configurations_sharded`], run through the fold-based
-/// checkpointing executor under a lease journal header.  Seeds, job order
-/// and the tally fold are identical to the sharded form, so any partition
-/// of the space into leases merges bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn classify_configurations_range(
-    scheduler: &Scheduler,
-    configs: &[Configuration],
-    kernels_per_mode: usize,
-    options: &CampaignOptions,
-    lease: u32,
-    range: Range<u64>,
-    journal: Option<&JournalOptions>,
-    checkpoint: Option<CheckpointPolicy>,
-    stop_before: Option<u64>,
-) -> Result<FoldRun<ClassificationTally>, JournalError> {
-    let targets = Arc::new(targets_for(configs));
-    let descriptor = classification_descriptor(kernels_per_mode, &options.generator, &targets);
-    let total_jobs = (GenMode::ALL.len() * kernels_per_mode) as u64;
-    let header = lease_header(&descriptor, options.seed_offset, total_jobs, lease, range);
-    let configs_len = configs.len();
-    run_range_fold::<KernelJob, ClassificationTally, _, _>(
-        scheduler,
-        &header,
-        journal,
-        checkpoint,
-        stop_before,
-        |g| classification_job(g, kernels_per_mode, options, &targets),
-        || ClassificationTally::new(configs_len),
-        |tally, _, verdicts| tally.record(&verdicts),
-    )
 }
 
 /// Merges any subset of a classification campaign's shard journals back
@@ -1034,16 +1034,7 @@ pub fn merge_classification_journals(
     paths: &[PathBuf],
     configs: &[Configuration],
 ) -> Result<(Vec<ReliabilityRow>, RefoldSummary), JournalError> {
-    let targets = targets_for(configs);
-    let (tally, summary) = refold_journals::<Vec<Verdict>, ClassificationTally>(
-        paths,
-        |campaign| campaign.starts_with("classify:"),
-        |header| {
-            validate_classification_descriptor(&header.campaign, &targets)?;
-            Ok(ClassificationTally::new(configs.len()))
-        },
-        |tally, _, verdicts| tally.record(&verdicts),
-    )?;
+    let (_, tally, summary) = merge_journals::<ClassificationCampaign>(paths, configs)?;
     Ok((reliability_rows(configs, &tally), summary))
 }
 
@@ -1129,16 +1120,18 @@ mod tests {
         assert!(Vec::<Verdict>::decode("kxz").is_err());
 
         // TargetStats tokens: the 6-count form round-trips, and the
-        // pre-prefilter 5-count form still decodes (skipped = 0).
+        // pre-prefilter 5-count form has no producer left, so it is a
+        // format error.
         let mut stats = TargetStats::default();
         stats.record(Verdict::WrongCode);
         stats.record(Verdict::Skipped);
         stats.record(Verdict::Ok);
         let token = stats.to_token();
         assert_eq!(TargetStats::from_token(&token).unwrap(), stats);
-        let legacy = TargetStats::from_token("1,0,0,0,1").unwrap();
-        assert_eq!(legacy.skipped, 0);
-        assert_eq!(legacy.wrong, 1);
+        assert!(matches!(
+            TargetStats::from_token("1,0,0,0,1"),
+            Err(JournalError::Format(_))
+        ));
 
         let mut tally = ModeTally::new(6);
         tally.record(&row);

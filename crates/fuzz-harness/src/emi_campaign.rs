@@ -13,8 +13,8 @@ use crate::campaign::CampaignOptions;
 use crate::exec::{job_seed, PipelineMetrics, Scheduler, StagedJob};
 use crate::journal::{checksum, JournalError};
 use crate::shard::{
-    refold_journals, run_sharded, JournalOptions, JournalPayload, Mergeable, RefoldSummary,
-    ShardMetrics, ShardSelect, ShardSpec,
+    merge_journals, run_shard, Campaign, JournalOptions, JournalPayload, Mergeable, RefoldSummary,
+    ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, prune_variant, GenMode, GeneratorOptions, PruneProbabilities};
 use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
@@ -264,8 +264,7 @@ pub struct EmiBaseJob {
 
 /// Stage-1 output of an [`EmiBaseJob`]: the base's pruning-variant grid
 /// plus the judging context.  Variant seeding depends only on the campaign
-/// seed and the base index, never on which worker pruned — the staged
-/// hand-off preserves that.
+/// seed and the base index, never on which worker pruned.
 #[derive(Debug)]
 pub struct EmiVariantGrid {
     /// The derived pruning variants, in grid order.
@@ -570,18 +569,116 @@ pub struct ShardedEmiCampaign {
     pub tally: EmiTally,
     /// Shard/resume metrics.
     pub metrics: ShardMetrics,
-    /// Stage timing/hand-off metrics of the judging run.
+    /// Stage timing metrics of the judging run.
     pub pipeline: PipelineMetrics,
     /// Live bases found across the whole campaign (the global job space).
     pub total_bases: usize,
 }
 
-/// Runs one shard of the EMI campaign with an optional resumable journal.
+/// The EMI campaign as a [`Campaign`]: the job space is the live-base index
+/// space, job `g` judging base `g` seeded `job_seed(seed_offset, g)`.
 ///
-/// Every shard regenerates the full live-base list (generation is a small
-/// fraction of judging cost, and acceptance scans candidates in index
-/// order, so all shards agree on the list bit for bit), then judges only
-/// the bases in its slice; the job space is the base index space.
+/// Building it generates the full live-base list — every shard and fleet
+/// worker does, because generation is a small fraction of judging cost and
+/// acceptance scans candidates in index order, so all of them agree on the
+/// list bit for bit.
+#[derive(Debug, Clone)]
+pub struct EmiCampaign {
+    /// The requested scale.
+    pub options: EmiCampaignOptions,
+    /// The configurations, in column order (both optimisation levels each).
+    pub configs: Arc<Vec<Configuration>>,
+    /// The live bases, in acceptance order (empty in a campaign parsed back
+    /// from a descriptor).
+    pub bases: Arc<Vec<clc::Program>>,
+    /// The pruning grid every base's variants are drawn from.
+    pub grid: Arc<Vec<PruneProbabilities>>,
+}
+
+impl EmiCampaign {
+    /// The campaign over `configs`, generating its live bases on
+    /// `scheduler`.
+    pub fn new(
+        scheduler: &Scheduler,
+        configs: &[Configuration],
+        options: &EmiCampaignOptions,
+    ) -> Self {
+        EmiCampaign {
+            bases: Arc::new(generate_live_bases_with(scheduler, options)),
+            ..EmiCampaign::without_bases(configs, options)
+        }
+    }
+
+    fn without_bases(configs: &[Configuration], options: &EmiCampaignOptions) -> Self {
+        EmiCampaign {
+            options: options.clone(),
+            configs: Arc::new(configs.to_vec()),
+            bases: Arc::default(),
+            grid: Arc::new(pruning_grid(options.variants_per_base)),
+        }
+    }
+
+    /// The result a tally over `bases` judged bases renders as.
+    pub fn result(&self, tally: &EmiTally, bases: usize) -> EmiCampaignResult {
+        EmiCampaignResult {
+            bases,
+            variants_per_base: self.grid.len(),
+            labels: emi_labels(&self.configs),
+            stats: tally.per_target.clone(),
+        }
+    }
+}
+
+impl Campaign for EmiCampaign {
+    type Job = EmiBaseJob;
+    type Record = Vec<BaseJudgement>;
+    type Tally = EmiTally;
+    type Context = [Configuration];
+
+    fn descriptor(&self) -> String {
+        emi_campaign_descriptor(&self.options, &self.configs)
+    }
+
+    fn parse(descriptor: &str, configs: &[Configuration]) -> Result<Self, JournalError> {
+        let options = EmiCampaignOptions {
+            variants_per_base: parse_emi_descriptor(descriptor, configs)?,
+            ..EmiCampaignOptions::default()
+        };
+        Ok(EmiCampaign::without_bases(configs, &options))
+    }
+
+    fn seed(&self) -> u64 {
+        self.options.campaign.seed_offset
+    }
+
+    fn job_count(&self) -> u64 {
+        self.bases.len() as u64
+    }
+
+    fn job(&self, g: u64) -> (u64, EmiBaseJob) {
+        let base_index = g as usize;
+        let job = EmiBaseJob {
+            base: self.bases[base_index].clone(),
+            base_index,
+            campaign_seed: self.seed(),
+            grid: Arc::clone(&self.grid),
+            configs: Arc::clone(&self.configs),
+            exec: self.options.campaign.exec.clone(),
+        };
+        (job_seed(self.seed(), g), job)
+    }
+
+    fn tally(&self) -> EmiTally {
+        EmiTally::new(self.configs.len() * OptLevel::BOTH.len())
+    }
+
+    fn fold(&self, tally: &mut EmiTally, _: u64, judgements: Vec<BaseJudgement>) {
+        tally.record(&judgements);
+    }
+}
+
+/// Runs one shard of the EMI campaign ([`EmiCampaign`]) with an optional
+/// resumable journal.
 pub fn run_emi_campaign_sharded(
     scheduler: &Scheduler,
     configs: &[Configuration],
@@ -589,43 +686,14 @@ pub fn run_emi_campaign_sharded(
     select: ShardSelect,
     journal: Option<&JournalOptions>,
 ) -> Result<ShardedEmiCampaign, JournalError> {
-    let bases = Arc::new(generate_live_bases_with(scheduler, options));
-    let grid = Arc::new(pruning_grid(options.variants_per_base));
-    let shared_configs = Arc::new(configs.to_vec());
-    let labels = emi_labels(configs);
-    let campaign_seed = options.campaign.seed_offset;
-    let descriptor = emi_campaign_descriptor(options, configs);
-    let spec = ShardSpec::select(campaign_seed, bases.len() as u64, select);
-    let run = run_sharded::<EmiBaseJob, _>(scheduler, &spec, &descriptor, journal, |g| {
-        let base_index = g as usize;
-        (
-            job_seed(campaign_seed, g),
-            EmiBaseJob {
-                base: bases[base_index].clone(),
-                base_index,
-                campaign_seed,
-                grid: Arc::clone(&grid),
-                configs: Arc::clone(&shared_configs),
-                exec: options.campaign.exec.clone(),
-            },
-        )
-    })?;
-    let mut tally = EmiTally::new(labels.len());
-    let judged = run.outputs.len();
-    for (_, judgements) in &run.outputs {
-        tally.record(judgements);
-    }
+    let campaign = EmiCampaign::new(scheduler, configs, options);
+    let run = run_shard(scheduler, &campaign, select, journal)?;
     Ok(ShardedEmiCampaign {
-        result: EmiCampaignResult {
-            bases: judged,
-            variants_per_base: grid.len(),
-            labels,
-            stats: tally.per_target.clone(),
-        },
-        tally,
+        result: campaign.result(&run.aggregate, run.jobs as usize),
+        tally: run.aggregate,
         metrics: run.metrics,
         pipeline: run.pipeline,
-        total_bases: bases.len(),
+        total_bases: campaign.bases.len(),
     })
 }
 
@@ -636,25 +704,11 @@ pub fn merge_emi_campaign_journals(
     paths: &[PathBuf],
     configs: &[Configuration],
 ) -> Result<(EmiCampaignResult, RefoldSummary), JournalError> {
-    let labels = emi_labels(configs);
-    let first = paths.first().ok_or_else(|| {
-        JournalError::Mismatch("no journals to merge (expected at least one path)".into())
-    })?;
-    let header = crate::journal::load_journal(first)?.header;
-    let variants_per_base = parse_emi_descriptor(&header.campaign, configs)?;
-    let (tally, summary) = refold_journals::<Vec<BaseJudgement>, EmiTally>(
-        paths,
-        |campaign| campaign == header.campaign,
-        |_| Ok(EmiTally::new(labels.len())),
-        |tally, _, judgements| tally.record(&judgements),
-    )?;
-    let result = EmiCampaignResult {
-        bases: summary.jobs_folded as usize,
-        variants_per_base,
-        labels,
-        stats: tally.per_target.clone(),
-    };
-    Ok((result, summary))
+    let (campaign, tally, summary) = merge_journals::<EmiCampaign>(paths, configs)?;
+    Ok((
+        campaign.result(&tally, summary.jobs_folded as usize),
+        summary,
+    ))
 }
 
 /// What a single base program induced on a single target.

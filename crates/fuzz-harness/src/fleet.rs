@@ -22,7 +22,7 @@
 //!   accounting ([`FleetOutcome::gaps`]) instead of hanging forever.
 //!
 //! The merged result of a fleet run is produced by refolding the per-lease
-//! journals ([`crate::shard::refold_journals`]); because every lease folds
+//! journals ([`crate::shard::merge_journals`]); because every lease folds
 //! journal-decoded outputs in ascending job order, the merged tables are
 //! bit-identical to a fault-free single-process run of the same campaign —
 //! the invariant the chaos tests pin.

