@@ -345,16 +345,16 @@ fn bench_differential_dedupe(kernels: usize, metrics: &mut Metrics) {
         let label = if memoize { "memo on " } else { "memo off" };
         let launches_per_kernel = stats.launches as f64 / kernels as f64;
         println!(
-            "  {label}   {:>10.1?} total   {:>7.2} kernels/sec   {launches_per_kernel:>5.1} launches/kernel   compile hit rate {:.2}",
+            "  {label}   {:>10.1?} total   {:>7.2} kernels/sec   {launches_per_kernel:>5.1} launches/kernel   hit rate {:.2}",
             elapsed,
             kernels_per_sec[m],
-            stats.compile_hit_rate(),
+            stats.outcome_hit_rate(),
         );
         let key = if memoize { "memo_on" } else { "memo_off" };
         metrics.record(format!("dedupe_{key}_kernels_per_sec"), kernels_per_sec[m]);
         if memoize {
             metrics.record("launches_per_kernel", launches_per_kernel);
-            metrics.record("compile_cache_hit_rate", stats.compile_hit_rate());
+            metrics.record("compile_cache_hit_rate", stats.outcome_hit_rate());
         }
     }
     assert_eq!(

@@ -33,8 +33,9 @@
 //! variable.  The store never changes the produced tables either.
 //!
 //! Unknown flags and non-numeric scale arguments are usage errors (exit 2).
-//! Tables go to stdout; shard/resume/merge progress lines go to stderr, so
-//! merged outputs can be diffed byte for byte.
+//! Tables go to stdout; shard/resume/merge progress lines and the store and
+//! execution-cache counters go to stderr, so merged outputs can be diffed
+//! byte for byte.
 
 pub mod fleet;
 
@@ -263,6 +264,7 @@ pub fn campaign_main<T: Table>() {
     .unwrap_or_else(|e| fail(e));
     report_shard_metrics(&cli, &run.metrics);
     report_store_stats(&exec);
+    report_cache_stats();
     let provenance = Provenance::Run {
         workers: cli.scheduler.threads(),
         shard: cli.is_sharded().then_some(cli.shard),
@@ -300,6 +302,17 @@ pub fn report_shard_metrics(cli: &Cli, metrics: &ShardMetrics) {
         } else {
             String::new()
         }
+    );
+}
+
+/// Reports the process's execution-cache counters on stderr as one line of
+/// `key=value` pairs: `hits` counts executions served from the process-wide
+/// cache, `store_hits` those served from the on-disk store.
+fn report_cache_stats() {
+    let stats = opencl_sim::process_cache_stats();
+    eprintln!(
+        "cache: requests={} launches={} compiles={} hits={} store_hits={}",
+        stats.requests, stats.launches, stats.compiles, stats.shared_hits, stats.store_hits
     );
 }
 

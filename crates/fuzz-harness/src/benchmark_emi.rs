@@ -11,8 +11,7 @@ use crate::exec::{Scheduler, StagedJob};
 use crate::journal::JournalError;
 use crate::shard::{parse_fields, JournalPayload, Mergeable};
 use clsmith::emi::{inject_emi_blocks, InjectionOptions};
-use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
-use std::rc::Rc;
+use opencl_sim::{Configuration, ExecOptions, OptLevel, Session, TestOutcome};
 use std::sync::Arc;
 
 /// A benchmark prepared for EMI testing.
@@ -357,16 +356,14 @@ impl StagedJob for BenchmarkBodyJob {
         }
     }
 
-    /// Execution (stage 2), with one memo across the substitutions-off/on
-    /// pair: on non-optimising configurations both opt levels (and often
-    /// both variants, when substitutions change nothing) compile
-    /// identically and share one launch.  The [`Rc`]-based memo never
-    /// crosses the stage boundary.
+    /// Execution (stage 2) of the substitutions-off/on pair: on
+    /// non-optimising configurations both opt levels (and often both
+    /// variants, when substitutions change nothing) compile identically and
+    /// share one launch through the process-wide cache.
     fn execute(injected: InjectedVariants) -> BodyOutcomes {
-        let memo = Rc::new(ExecMemo::new());
         let mut outcomes = Vec::with_capacity(injected.variants.len() * OptLevel::BOTH.len());
         for (substitutions, variant) in &injected.variants {
-            let session = Session::with_memo(variant, Rc::clone(&memo));
+            let session = Session::new(variant);
             for opt in OptLevel::BOTH {
                 outcomes.push((
                     *substitutions,

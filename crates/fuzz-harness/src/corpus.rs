@@ -34,9 +34,8 @@ use crate::shard::{
     RefoldSummary, ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, mutate, CoverageMap, GeneratorOptions};
-use opencl_sim::{Configuration, ExecMemo, ExecOptions, Session};
+use opencl_sim::{Configuration, ExecOptions, Session};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// How a lineage decides whether a mutant becomes the new chain head.
@@ -153,13 +152,12 @@ impl StagedJob for CorpusJob {
 
     fn execute(generated: GeneratedLineage) -> CorpusRecord {
         let GeneratedLineage { base, job } = generated;
-        // One memo for the whole lineage: structurally identical links (a
-        // mutation that undoes an earlier one) collapse to cached outcomes,
-        // and the cached coverage replays bit-identically.
-        let memo = Rc::new(ExecMemo::new());
+        // Structurally identical links (a mutation that undoes an earlier
+        // one) collapse to cached executions, whose coverage replays
+        // bit-identically.
         let mut stats = vec![TargetStats::default(); job.targets.len()];
         let record = |program: &clc::Program, stats: &mut [TargetStats]| -> CoverageMap {
-            let session = Session::with_memo(program, Rc::clone(&memo));
+            let session = Session::new(program);
             let outcomes = run_on_targets_session(&session, &job.targets, &job.exec);
             for (stat, verdict) in stats.iter_mut().zip(classify(&outcomes)) {
                 stat.record(verdict);

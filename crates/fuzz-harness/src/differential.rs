@@ -86,8 +86,7 @@ pub fn run_on_targets(
 }
 
 /// [`run_on_targets`] over an existing session — used when the caller wants
-/// to share the session's memo with other executions of the same kernel job
-/// or to read the cache counters afterwards.
+/// to read the session's coverage or cache counters afterwards.
 pub fn run_on_targets_session(
     session: &Session<'_>,
     targets: &[TestTarget],

@@ -17,10 +17,9 @@ use crate::shard::{
     ShardMetrics, ShardSelect,
 };
 use clsmith::{generate, prune_variant, GenMode, GeneratorOptions, PruneProbabilities};
-use opencl_sim::{Configuration, ExecMemo, ExecOptions, OptLevel, Session, TestOutcome};
+use opencl_sim::{Configuration, ExecOptions, OptLevel, Session, TestOutcome};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Per-target tallies over base programs (the rows of Table 5).
@@ -155,8 +154,8 @@ impl StagedJob for LivenessProbeJob {
 
     fn execute(candidate: LivenessCandidate) -> LivenessOutcomes {
         // One session for both reference runs: the normal and inverted
-        // executions differ only in buffer overrides, so they share a
-        // single lowered kernel (distinct outcome-cache lines).
+        // executions differ only in buffer overrides (distinct cache
+        // lines).
         let session = Session::new(&candidate.program);
         let normal = session.reference_execute(&candidate.exec);
         let mut inverted_exec = candidate.exec.clone();
@@ -301,21 +300,14 @@ impl StagedJob for EmiBaseJob {
         }
     }
 
-    /// The memoised judging grid (stage 2): one session per variant, all
-    /// behind one [`ExecMemo`] spanning the whole (config × opt) grid —
-    /// gently pruned variants are often bit-identical to each other (or
-    /// compile identically on non-optimising targets across both opt
-    /// levels), so the unpruned AST is executed once, not once per target.
-    /// The memo is [`Rc`]-based and deliberately never crosses the stage
-    /// boundary: it lives and dies with this stage, on whichever worker
-    /// runs it.
+    /// The cached judging grid (stage 2): one session per variant over the
+    /// whole (config × opt) grid — gently pruned variants are often
+    /// bit-identical to each other (or compile identically on
+    /// non-optimising targets across both opt levels), so through the
+    /// process-wide cache the unpruned AST is executed once, not once per
+    /// target.
     fn execute(grid: EmiVariantGrid) -> EmiOutcomeGrid {
-        let memo = Rc::new(ExecMemo::new());
-        let sessions: Vec<Session<'_>> = grid
-            .variants
-            .iter()
-            .map(|v| Session::with_memo(v, Rc::clone(&memo)))
-            .collect();
+        let sessions: Vec<Session<'_>> = grid.variants.iter().map(Session::new).collect();
         let mut rows = Vec::with_capacity(grid.configs.len() * OptLevel::BOTH.len());
         for config in grid.configs.iter() {
             for opt in OptLevel::BOTH {
@@ -730,32 +722,15 @@ pub struct BaseJudgement {
 
 /// Runs all variants of one base on one target and classifies the base
 /// according to §7.4.
-///
-/// One-shot form of [`judge_base_sessions`]: each variant gets a private
-/// session, so nothing is shared across the variant set.  The campaign
-/// driver uses the session form to share one memo over the whole judging
-/// grid.
 pub fn judge_base(
     variants: &[clc::Program],
     config: &Configuration,
     opt: OptLevel,
     exec: &ExecOptions,
 ) -> BaseJudgement {
-    let sessions: Vec<Session<'_>> = variants.iter().map(Session::new).collect();
-    judge_base_sessions(&sessions, config, opt, exec)
-}
-
-/// [`judge_base`] over pre-built variant [`Session`]s (typically sharing an
-/// [`ExecMemo`]).
-pub fn judge_base_sessions(
-    variants: &[Session<'_>],
-    config: &Configuration,
-    opt: OptLevel,
-    exec: &ExecOptions,
-) -> BaseJudgement {
     let outcomes: Vec<TestOutcome> = variants
         .iter()
-        .map(|variant| variant.execute(config, opt, exec))
+        .map(|variant| Session::new(variant).execute(config, opt, exec))
         .collect();
     judge_outcomes(&outcomes)
 }

@@ -77,10 +77,10 @@ pub use differential::{
 };
 pub use emi_campaign::{
     emi_campaign_descriptor, generate_live_bases, generate_live_bases_with, judge_base,
-    judge_base_sessions, judge_outcomes, merge_emi_campaign_journals, pruning_grid,
-    run_emi_campaign, run_emi_campaign_sharded, run_emi_campaign_with, EmiBaseJob, EmiCampaign,
-    EmiCampaignOptions, EmiCampaignResult, EmiOutcomeGrid, EmiStats, EmiTally, EmiVariantGrid,
-    LivenessCandidate, LivenessOutcomes, LivenessProbeJob, ShardedEmiCampaign,
+    judge_outcomes, merge_emi_campaign_journals, pruning_grid, run_emi_campaign,
+    run_emi_campaign_sharded, run_emi_campaign_with, EmiBaseJob, EmiCampaign, EmiCampaignOptions,
+    EmiCampaignResult, EmiOutcomeGrid, EmiStats, EmiTally, EmiVariantGrid, LivenessCandidate,
+    LivenessOutcomes, LivenessProbeJob, ShardedEmiCampaign,
 };
 pub use exec::{
     expect_completed, job_seed, Job, JobFailure, JobResult, PipelineMetrics, Scheduler,

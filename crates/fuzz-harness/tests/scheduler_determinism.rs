@@ -1,8 +1,9 @@
 //! The campaign engine's headline guarantee: for a fixed campaign seed,
 //! every driver produces **bit-identical** results — including the rendered
-//! report tables — at any worker count, and (since the staged scheduler)
-//! in either execution mode: whole-job batches or the pipelined
-//! generate → execute → judge hand-off.
+//! report tables — at any worker count.  Every job runs its generate →
+//! execute → judge stages back to back on one worker (batch mode, the only
+//! scheduler mode); the batch-mode differential below pins that naming the
+//! mode explicitly, as the campaign benchmark does, changes nothing.
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::{

@@ -17,8 +17,9 @@
 //! * [`platform`] — the "online compile then execute" entry point returning
 //!   the [`TestOutcome`] a fuzzing harness observes;
 //! * [`store`] — the on-disk cross-campaign outcome store: a
-//!   content-addressed, checksummed, capped cache of execution outcomes
-//!   shared by sequential re-runs and concurrent shard processes;
+//!   content-addressed, checksummed, capped cache of execution outcomes and
+//!   their coverage, shared by sequential re-runs and concurrent shard
+//!   processes;
 //! * [`figures`] — the bug-exhibiting kernels of Figures 1 and 2, used as
 //!   tests of the bug models and by the `figures` reproduction binary.
 //!
@@ -47,7 +48,7 @@ pub use configs::{
 pub use figures::{all_figures, FigureKernel};
 pub use platform::{
     execute, process_cache_stats, process_race_stats, reference_execute, reset_process_cache_stats,
-    reset_process_race_stats, reset_shared_outcome_cache, CacheStats, CompiledProgram, ExecMemo,
-    ExecOptions, RaceDetectorStats, Session, TestOutcome,
+    reset_process_race_stats, reset_shared_outcome_cache, CacheStats, CompiledProgram, ExecOptions,
+    RaceDetectorStats, Session, TestOutcome,
 };
 pub use store::{set_io_fault_hook, IoFaultHook, OutcomeStore, StoreOp, StoreStats};

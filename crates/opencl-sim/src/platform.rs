@@ -27,25 +27,26 @@
 //!   miscompilations, producing a [`CompiledProgram`]: either an outcome
 //!   decided without execution, or a compiled AST tagged with its
 //!   structural [`Fingerprint`];
-//! * the **execution phase** — memoised in an [`ExecMemo`] by
-//!   `(fingerprint, exec-relevant options)`: each distinct compiled program
-//!   is lowered once (a shared [`clc_interp::CompiledKernel`]) and launched
-//!   once per distinct execution-option set, with every further target
-//!   served from the outcome cache.
+//! * the **execution phase** — cached by `(fingerprint, exec-relevant
+//!   options)`: each distinct compiled program is launched once per
+//!   distinct execution-option set, with every further target served from
+//!   the cache.
 //!
-//! A [`Session`] carries the per-kernel state both phases reuse across
+//! A [`Session`] carries the per-kernel state the front end reuses across
 //! targets (detected [`Features`], the captured program hasher, the
-//! optimised AST); a fan-out over 42 targets typically collapses to a
-//! handful of real emulator launches.
+//! optimised AST, the static analysis) and folds the kernel's coverage; a
+//! fan-out over 42 targets typically collapses to a handful of real
+//! emulator launches.
 //!
-//! Beyond the per-job memo sit two more outcome-cache levels with the same
-//! `(fingerprint, exec key)` key: a **process-wide shared cache** (sharded,
-//! mutex-striped, bounded) that deduplicates across jobs and scheduler
-//! workers, and an optional **on-disk store** ([`OutcomeStore`]) that
-//! deduplicates across processes and campaigns.  Memoisation never changes
-//! results at any level — outcomes are deterministic in the key, and the
+//! Executions are cached at two levels with one key, `(fingerprint, exec
+//! key)`, and one value, the launch's `(TestOutcome, CoverageMap)`: a
+//! **process-wide cache** (sharded, mutex-striped, bounded) that
+//! deduplicates within and across jobs and scheduler workers, and an
+//! optional **on-disk store** ([`OutcomeStore`]) that deduplicates across
+//! processes and campaigns.  Caching never changes results at either level
+//! — outcomes and coverage are deterministic in the key, and the
 //! `cache_equivalence` integration test pins campaign tables bit-identical
-//! with the memo forced off and with the store cold or warm.
+//! with caching forced off and with the store cold or warm.
 
 use crate::bugs::{apply_miscompilation, BugEffect, Miscompilation, OptLevel};
 use crate::configs::Configuration;
@@ -53,16 +54,13 @@ use crate::passes;
 use crate::store::OutcomeStore;
 use clc::{Features, Fingerprint, Program, ProgramHasher};
 use clc_analyze::AnalysisReport;
-use clc_interp::{
-    CompiledKernel, ExecutionTier, LaunchOptions, LaunchResult, RuntimeError, Schedule,
-};
+use clc_interp::{ExecutionTier, LaunchOptions, LaunchResult, RuntimeError, Schedule};
 use clsmith::{coverage_hash, CoverageClass, CoverageMap};
 use std::borrow::Cow;
-use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::cell::{Cell, OnceCell};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -83,15 +81,16 @@ pub struct ExecOptions {
     /// bytecode tier, `CLC_INTERP_TIER` overrides process-wide).
     pub tier: ExecutionTier,
     /// On-disk cross-campaign outcome store consulted (and populated) after
-    /// the in-memory caches miss (defaults to the `CLFUZZ_STORE` store, or
-    /// `None` when unset).  Like memoisation, the store never changes
-    /// results: outcomes are deterministic in `(fingerprint, exec key)`.
+    /// the process-wide cache misses (defaults to the `CLFUZZ_STORE` store,
+    /// or `None` when unset).  Like the process-wide cache, the store never
+    /// changes results: outcomes and their coverage are deterministic in
+    /// `(fingerprint, exec key)`.
     pub store: Option<Arc<OutcomeStore>>,
-    /// Whether [`Session`]s may serve repeated executions of an identical
-    /// compiled program from the outcome cache (on by default).  Turning
-    /// this off forces a cold compile + launch per target — outcomes are
-    /// identical either way; only wall-clock changes.  This is also the
-    /// opt-out for the process-wide shared cache and the on-disk store.
+    /// Whether [`Session`]s may serve executions of an already-executed
+    /// compiled program from the process-wide cache and the store (on by
+    /// default).  Turning this off forces a cold launch per target and
+    /// bypasses both levels — outcomes are identical either way; only
+    /// wall-clock changes.
     pub memoize: bool,
 }
 
@@ -177,7 +176,7 @@ pub enum CompiledProgram<'s> {
     /// The kernel must run.  `program` borrows the session's (possibly
     /// optimised) AST when no target-specific transform applied, and is
     /// owned otherwise; `fingerprint` is its structural hash, the key the
-    /// execution phase memoises on.
+    /// execution phase caches on.
     Execute {
         /// The compiled AST the device executes.
         program: Cow<'s, Program>,
@@ -186,49 +185,13 @@ pub enum CompiledProgram<'s> {
         /// Front-end coverage: bug-rule hits, optimiser passes that changed
         /// the program, miscompilation transforms applied.  Recorded for
         /// free on the deduplicated path — the front end runs per target
-        /// regardless of whether the launch is memoised.
+        /// regardless of whether the launch is cached.
         coverage: CoverageMap,
     },
 }
 
-/// Execution-phase caches shared by one or more [`Session`]s.
-///
-/// Holds the compiled-kernel cache (fingerprint → lazily lowered
-/// [`CompiledKernel`]) and the outcome cache
-/// (`(fingerprint, exec-option key)` → [`TestOutcome`]), plus hit/launch
-/// counters.  Cheap to create; share one memo (via [`Rc`]) across the
-/// sessions of related programs — e.g. the pruning variants of one EMI base,
-/// where structurally identical variants then collapse to one launch — and
-/// drop it with the job so cache footprint stays bounded.
-#[derive(Debug, Default)]
-pub struct ExecMemo {
-    kernels: RefCell<HashMap<Fingerprint, Rc<CompiledKernel>>>,
-    /// Outcome cache, with the launch's dynamic coverage bits stored next
-    /// to each outcome so memoised hits replay the *same* coverage the real
-    /// launch produced — coverage stays a deterministic function of
-    /// `(fingerprint, exec key)` at any worker count.
-    outcomes: RefCell<HashMap<(Fingerprint, u64), (TestOutcome, CoverageMap)>>,
-    analyses: RefCell<HashMap<Fingerprint, Rc<AnalysisReport>>>,
-    /// Coverage folded per *base* (unoptimised) fingerprint across every
-    /// target executed so far — the per-kernel map the feedback loop reads,
-    /// living next to the exec memo exactly like the analysis cache.
-    coverage: RefCell<HashMap<Fingerprint, CoverageMap>>,
-    stats: MemoCounters,
-}
-
-#[derive(Debug, Default)]
-struct MemoCounters {
-    requests: Cell<u64>,
-    launches: Cell<u64>,
-    compiles: Cell<u64>,
-    outcome_hits: Cell<u64>,
-    kernel_hits: Cell<u64>,
-    shared_hits: Cell<u64>,
-    store_hits: Cell<u64>,
-}
-
-/// Counter snapshot for a memo (or the whole process, see
-/// [`process_cache_stats`]).
+/// Cache counter snapshot for one [`Session`] (see [`Session::stats`]) or
+/// the whole process (see [`process_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Target executions requested ([`Session::execute`] /
@@ -236,41 +199,29 @@ pub struct CacheStats {
     pub requests: u64,
     /// Real emulator launches performed.
     pub launches: u64,
-    /// Kernels lowered (compiled-kernel cache misses, plus every launch
-    /// when memoisation is off).
+    /// Kernels lowered for a launch: compiled kernels are not cached, so
+    /// this always equals `launches`.
     pub compiles: u64,
-    /// Executions served from the per-job outcome cache.
+    /// Always 0: the per-job outcome cache it counted is gone.  Kept only
+    /// because the campaign benchmark (`perfbench/`) builds this struct
+    /// field by field.
     pub outcome_hits: u64,
-    /// Launches that reused an already-compiled kernel.
+    /// Always 0: the compiled-kernel cache it counted is gone.  Kept only
+    /// because the campaign benchmark (`perfbench/`) builds this struct
+    /// field by field.
     pub kernel_hits: u64,
-    /// Executions served from the process-wide shared outcome cache (after
-    /// the per-job cache missed).
+    /// Executions served from the process-wide cache.
     pub shared_hits: u64,
-    /// Executions served from the on-disk outcome store (after both
-    /// in-memory caches missed).
+    /// Executions served from the on-disk outcome store (after the
+    /// process-wide cache missed).
     pub store_hits: u64,
 }
 
 impl CacheStats {
-    /// Fraction of executions that reused an already-compiled kernel — via
-    /// an outcome cache (which skips the launch entirely) or the
-    /// compiled-kernel cache (which skips only the lowering).  `0.0` (never
-    /// `NaN`) when no lookups occurred.
-    pub fn compile_hit_rate(&self) -> f64 {
-        let cached = self.outcome_hits + self.shared_hits + self.store_hits + self.kernel_hits;
-        let lookups = cached + self.compiles;
-        if lookups == 0 {
-            0.0
-        } else {
-            cached as f64 / lookups as f64
-        }
-    }
-
-    /// Fraction of executions whose *outcome* was served from any cache
-    /// level (per-job, process-wide, or on-disk store), skipping the launch
-    /// entirely.  `0.0` (never `NaN`) when no lookups occurred.
+    /// Fraction of executions served from either cache level, skipping the
+    /// launch entirely.  `0.0` (never `NaN`) when no lookups occurred.
     pub fn outcome_hit_rate(&self) -> f64 {
-        let cached = self.outcome_hits + self.shared_hits + self.store_hits;
+        let cached = self.shared_hits + self.store_hits;
         let lookups = cached + self.launches;
         if lookups == 0 {
             0.0
@@ -280,86 +231,44 @@ impl CacheStats {
     }
 }
 
-/// The cache-counter kinds.  Doubles as the index into the process-wide
-/// atomic array, so the per-memo cell and the global counter cannot drift
-/// apart.
+/// The cache-counter kinds.  Doubles as the index into the per-session and
+/// process-wide counter arrays, so the two cannot drift apart.
 #[derive(Clone, Copy)]
 enum Counter {
     Requests = 0,
     Launches = 1,
-    Compiles = 2,
-    OutcomeHits = 3,
-    KernelHits = 4,
-    SharedHits = 5,
-    StoreHits = 6,
+    SharedHits = 2,
+    StoreHits = 3,
 }
 
-/// Process-wide counters aggregated across every memo (all threads), for
+/// Process-wide counters aggregated across every session (all threads), for
 /// benchmark and CI reporting — indexed by [`Counter`].
-static PROCESS: [AtomicU64; 7] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
+static PROCESS: [AtomicU64; 4] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
 ];
 
-fn process_count(counter: Counter) -> u64 {
-    PROCESS[counter as usize].load(Ordering::Relaxed)
-}
-
-impl MemoCounters {
-    fn bump(&self, counter: Counter) {
-        let cell = match counter {
-            Counter::Requests => &self.requests,
-            Counter::Launches => &self.launches,
-            Counter::Compiles => &self.compiles,
-            Counter::OutcomeHits => &self.outcome_hits,
-            Counter::KernelHits => &self.kernel_hits,
-            Counter::SharedHits => &self.shared_hits,
-            Counter::StoreHits => &self.store_hits,
-        };
-        cell.set(cell.get() + 1);
-        PROCESS[counter as usize].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl ExecMemo {
-    /// An empty memo.
-    pub fn new() -> ExecMemo {
-        ExecMemo::default()
-    }
-
-    /// Counter snapshot for this memo.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            requests: self.stats.requests.get(),
-            launches: self.stats.launches.get(),
-            compiles: self.stats.compiles.get(),
-            outcome_hits: self.stats.outcome_hits.get(),
-            kernel_hits: self.stats.kernel_hits.get(),
-            shared_hits: self.stats.shared_hits.get(),
-            store_hits: self.stats.store_hits.get(),
-        }
-    }
-}
-
-/// Process-wide cache counters summed over every memo on every thread since
-/// start (or the last [`reset_process_cache_stats`]).  Benchmarks use this
-/// to report `launches_per_kernel` and `compile_cache_hit_rate` across a
-/// whole campaign.
-pub fn process_cache_stats() -> CacheStats {
+/// Builds a snapshot from counter values indexed by [`Counter`].
+fn cache_stats(count: impl Fn(Counter) -> u64) -> CacheStats {
     CacheStats {
-        requests: process_count(Counter::Requests),
-        launches: process_count(Counter::Launches),
-        compiles: process_count(Counter::Compiles),
-        outcome_hits: process_count(Counter::OutcomeHits),
-        kernel_hits: process_count(Counter::KernelHits),
-        shared_hits: process_count(Counter::SharedHits),
-        store_hits: process_count(Counter::StoreHits),
+        requests: count(Counter::Requests),
+        launches: count(Counter::Launches),
+        compiles: count(Counter::Launches),
+        outcome_hits: 0,
+        kernel_hits: 0,
+        shared_hits: count(Counter::SharedHits),
+        store_hits: count(Counter::StoreHits),
     }
+}
+
+/// Process-wide cache counters summed over every session on every thread
+/// since start (or the last [`reset_process_cache_stats`]).  Benchmarks use
+/// this to report `launches_per_kernel` and hit rates across a whole
+/// campaign.
+pub fn process_cache_stats() -> CacheStats {
+    cache_stats(|counter| PROCESS[counter as usize].load(Ordering::Relaxed))
 }
 
 /// Zeroes the process-wide cache counters (benchmark bracketing; not
@@ -371,7 +280,7 @@ pub fn reset_process_cache_stats() {
 }
 
 /// Process-wide shadow-memory race-detector counters, summed over every
-/// real launch that ran with race detection enabled.  Memoised outcome hits
+/// real launch that ran with race detection enabled.  Cached execution hits
 /// add nothing (no launch happens), so these measure actual detector work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RaceDetectorStats {
@@ -419,15 +328,14 @@ pub fn reset_process_race_stats() {
     }
 }
 
-// --- The process-wide shared outcome cache (level 1) -----------------------
+// --- The process-wide execution cache --------------------------------------
 //
-// A [`Session`]'s memo is `Rc`-confined to its job; campaigns running many
-// jobs — and schedulers running many workers — re-execute structurally
-// identical kernels once per job.  This sharded, mutex-guarded map shares
-// outcomes across every memo in the process: lock-striping by fingerprint
-// keeps worker contention negligible, and a per-shard FIFO bound keeps the
-// footprint fixed.  Compiled kernels stay per-memo (`Rc`-based, deliberately
-// thread-confined); only final [`TestOutcome`]s — plain data — cross threads.
+// One sharded, mutex-guarded map serves every session in the process: the
+// targets of one kernel, the variants of one EMI base, the jobs of one
+// campaign and every scheduler worker.  Lock-striping by fingerprint keeps
+// worker contention negligible, and a per-shard FIFO bound keeps the
+// footprint fixed.  Only plain data — the outcome and its coverage — is
+// cached.
 
 /// Number of lock stripes (must be a power of two).
 const SHARED_SHARDS: usize = 16;
@@ -459,11 +367,11 @@ fn shared_get(key: &(Fingerprint, u64)) -> Option<(TestOutcome, CoverageMap)> {
     shard.outcomes.get(key).cloned()
 }
 
-fn shared_put(key: (Fingerprint, u64), outcome: TestOutcome, coverage: CoverageMap) {
+fn shared_put(key: (Fingerprint, u64), execution: (TestOutcome, CoverageMap)) {
     let mut shard = shared_shard(key.0)
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    if shard.outcomes.insert(key, (outcome, coverage)).is_none() {
+    if shard.outcomes.insert(key, execution).is_none() {
         shard.order.push_back(key);
         if shard.order.len() > SHARED_SHARD_CAP {
             if let Some(oldest) = shard.order.pop_front() {
@@ -473,8 +381,8 @@ fn shared_put(key: (Fingerprint, u64), outcome: TestOutcome, coverage: CoverageM
     }
 }
 
-/// Empties the process-wide shared outcome cache (benchmark bracketing and
-/// test isolation; campaigns never need this — eviction bounds the size).
+/// Empties the process-wide execution cache (benchmark bracketing and test
+/// isolation; campaigns never need this — eviction bounds the size).
 pub fn reset_shared_outcome_cache() {
     if let Some(shards) = SHARED.get() {
         for shard in shards {
@@ -489,35 +397,30 @@ pub fn reset_shared_outcome_cache() {
 ///
 /// Construction performs the per-kernel work exactly once — a single hash
 /// pass capturing reusable hasher state ([`ProgramHasher`]); feature
-/// detection and the optimised AST are computed lazily, also at most once —
-/// and every [`Session::execute`] call reuses it.  The execution phase is
-/// memoised through the session's [`ExecMemo`]: targets whose front end
+/// detection, the optimised AST and the static analysis are computed
+/// lazily, also at most once — and every [`Session::execute`] call reuses
+/// it.  The execution phase goes through the process-wide cache (and, when
+/// configured, the on-disk [`OutcomeStore`]): targets whose front end
 /// produces a bit-identical compiled AST (and identical execution-relevant
-/// options) share a single emulator launch.
+/// options) share a single emulator launch, within this session and across
+/// every other session in the process.
 ///
 /// Sessions are single-threaded by design (the campaign engine runs one
-/// kernel job per worker); the memo is [`Rc`]-based precisely so it cannot
-/// leave its thread.  Cross-job and cross-worker sharing happens through
-/// the process-wide shared outcome cache (and, when configured, the
-/// on-disk [`OutcomeStore`]), which hold only plain-data [`TestOutcome`]s.
+/// kernel job per worker); only the caches they consult are shared.
 pub struct Session<'p> {
     program: &'p Program,
     hasher: ProgramHasher,
     base_fingerprint: Fingerprint,
     features: OnceCell<Features>,
     optimized: OnceCell<(Program, Fingerprint, u8)>,
-    memo: Rc<ExecMemo>,
+    analysis: OnceCell<AnalysisReport>,
+    coverage: Cell<CoverageMap>,
+    counters: [Cell<u64>; 4],
 }
 
 impl<'p> Session<'p> {
-    /// A session over `program` with a fresh private memo.
+    /// A session over `program`.
     pub fn new(program: &'p Program) -> Session<'p> {
-        Session::with_memo(program, Rc::new(ExecMemo::new()))
-    }
-
-    /// A session over `program` sharing `memo` with other sessions (e.g.
-    /// the pruning variants of one EMI base within one kernel job).
-    pub fn with_memo(program: &'p Program, memo: Rc<ExecMemo>) -> Session<'p> {
         let hasher = ProgramHasher::new(program);
         let base_fingerprint = hasher.fingerprint();
         Session {
@@ -526,7 +429,9 @@ impl<'p> Session<'p> {
             base_fingerprint,
             features: OnceCell::new(),
             optimized: OnceCell::new(),
-            memo,
+            analysis: OnceCell::new(),
+            coverage: Cell::new(CoverageMap::new()),
+            counters: Default::default(),
         }
     }
 
@@ -545,46 +450,36 @@ impl<'p> Session<'p> {
         self.features.get_or_init(|| Features::detect(self.program))
     }
 
-    /// The program's static analysis report, cached in the memo by the
-    /// unoptimised fingerprint so the EMI variants and repeat jobs of one
-    /// base (and any structurally identical programs sharing this memo)
-    /// analyse once.
-    pub fn analysis(&self) -> Rc<AnalysisReport> {
-        self.memo
-            .analyses
-            .borrow_mut()
-            .entry(self.base_fingerprint)
-            .or_insert_with(|| Rc::new(clc_analyze::analyze(self.program)))
-            .clone()
+    /// The program's static analysis report (computed on first use).
+    pub fn analysis(&self) -> &AnalysisReport {
+        self.analysis
+            .get_or_init(|| clc_analyze::analyze(self.program))
     }
 
-    /// The session's memo (shared caches and counters).
-    pub fn memo(&self) -> &ExecMemo {
-        &self.memo
+    /// Cache counters for this session's executions.
+    pub fn stats(&self) -> CacheStats {
+        cache_stats(|counter| self.counters[counter as usize].get())
     }
 
     /// Coverage folded for this kernel across every target executed so far:
     /// front-end rule/pass/miscompilation bits plus the dynamic bits of the
-    /// launches those targets resolved to.  Keyed in the memo by the
-    /// *unoptimised* fingerprint, so repeat sessions over a structurally
-    /// identical program (sharing the memo) keep accumulating one map.
+    /// launches those targets resolved to.
     pub fn coverage(&self) -> CoverageMap {
-        self.memo
-            .coverage
-            .borrow()
-            .get(&self.base_fingerprint)
-            .copied()
-            .unwrap_or_default()
+        self.coverage.get()
     }
 
-    /// Folds `coverage` into this kernel's per-fingerprint map.
+    /// Folds `coverage` into this kernel's map.
     fn fold_coverage(&self, coverage: &CoverageMap) {
-        self.memo
-            .coverage
-            .borrow_mut()
-            .entry(self.base_fingerprint)
-            .or_default()
-            .merge(coverage);
+        let mut folded = self.coverage.get();
+        folded.merge(coverage);
+        self.coverage.set(folded);
+    }
+
+    /// Counts one event in this session and in the process-wide totals.
+    fn bump(&self, counter: Counter) {
+        let cell = &self.counters[counter as usize];
+        cell.set(cell.get() + 1);
+        PROCESS[counter as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Deterministic pseudo-probability in `[0, 1)` for a background
@@ -729,126 +624,93 @@ impl<'p> Session<'p> {
     }
 
     /// Compiles and executes the kernel on one target, sharing front-end
-    /// state and (when `exec.memoize` is on) emulator launches with every
-    /// other target of this session's memo.
+    /// state with every other target of this session and (when
+    /// `exec.memoize` is on) emulator launches with every session in the
+    /// process.
     pub fn execute(
         &self,
         config: &Configuration,
         opt: OptLevel,
         exec: &ExecOptions,
     ) -> TestOutcome {
-        self.memo.stats.bump(Counter::Requests);
+        self.bump(Counter::Requests);
         let (outcome, mut coverage) = match self.compile(config, opt) {
             CompiledProgram::Decided { outcome, coverage } => (outcome, coverage),
             CompiledProgram::Execute {
                 program,
                 fingerprint,
                 coverage,
-            } => (self.run(program, fingerprint, exec), coverage),
+            } => (self.run(&program, fingerprint, exec), coverage),
         };
         // The outcome *kind* is itself a coverage signal (a kernel that
         // provokes its first build failure or crash is interesting), and it
-        // is available on every path — decided, memoised or launched.
+        // is available on every path — decided, cached or launched.
         coverage.set(CoverageClass::Dynamic, outcome_kind_bit(&outcome));
         self.fold_coverage(&coverage);
         outcome
     }
 
     /// Executes on the reference emulator with no configuration-specific
-    /// behaviour, through the same memoised execution phase — so e.g. the
-    /// two runs of an EMI liveness probe share one lowered kernel.
+    /// behaviour, through the same cached execution phase.
     pub fn reference_execute(&self, exec: &ExecOptions) -> TestOutcome {
-        self.memo.stats.bump(Counter::Requests);
-        self.run(Cow::Borrowed(self.program), self.base_fingerprint, exec)
+        self.bump(Counter::Requests);
+        self.run(self.program, self.base_fingerprint, exec)
     }
 
-    /// The execution phase: launch a compiled program, memoised by
+    /// The execution phase: launch a compiled program, cached by
     /// `(fingerprint, exec-relevant options)`.
     ///
-    /// Lookup order on the memoised path: the per-job memo, then the
-    /// process-wide shared cache, then the on-disk store (when one is
-    /// configured); a launch back-fills every level, and a hit at an outer
-    /// level back-fills the levels inside it.  All three levels key on the
-    /// same `(fingerprint, exec key)` pair, and outcomes are deterministic
-    /// functions of that pair, so hits can never change a result.
-    fn run(
-        &self,
-        program: Cow<'_, Program>,
-        fingerprint: Fingerprint,
-        exec: &ExecOptions,
-    ) -> TestOutcome {
-        let options = launch_options(exec);
-        if !exec.memoize {
-            self.memo.stats.bump(Counter::Compiles);
-            self.memo.stats.bump(Counter::Launches);
-            let result = clc_interp::launch(&program, &options);
-            self.fold_coverage(&dynamic_coverage(&result));
-            return launch_outcome(result);
-        }
+    /// Lookup order when `exec.memoize` is on: the process-wide cache, then
+    /// the on-disk store (when one is configured), then a real launch.  A
+    /// launch back-fills both levels and a store hit back-fills the
+    /// process-wide cache, each with the launch's `(outcome, coverage)`, so
+    /// a hit at either level replays exactly what the launch produced.
+    fn run(&self, program: &Program, fingerprint: Fingerprint, exec: &ExecOptions) -> TestOutcome {
         let key = (fingerprint, exec_key(exec));
-        if let Some((hit, coverage)) = self.memo.outcomes.borrow().get(&key) {
-            self.memo.stats.bump(Counter::OutcomeHits);
-            self.fold_coverage(coverage);
-            return hit.clone();
-        }
-        if let Some((hit, coverage)) = shared_get(&key) {
-            self.memo.stats.bump(Counter::SharedHits);
-            self.fold_coverage(&coverage);
-            self.memo
-                .outcomes
-                .borrow_mut()
-                .insert(key, (hit.clone(), coverage));
-            return hit;
-        }
-        if let Some(store) = &exec.store {
-            if let Some(hit) = store.get(fingerprint, key.1) {
-                // The store holds outcomes only, so a store hit replays no
-                // launch-derived dynamic bits; the empty map is cached so
-                // later requests for this key stay consistent in-process.
-                self.memo.stats.bump(Counter::StoreHits);
-                shared_put(key, hit.clone(), CoverageMap::new());
-                self.memo
-                    .outcomes
-                    .borrow_mut()
-                    .insert(key, (hit.clone(), CoverageMap::new()));
-                return hit;
-            }
-        }
-        let kernel = {
-            let mut kernels = self.memo.kernels.borrow_mut();
-            match kernels.entry(fingerprint) {
-                Entry::Occupied(entry) => {
-                    self.memo.stats.bump(Counter::KernelHits);
-                    Rc::clone(entry.get())
-                }
-                Entry::Vacant(entry) => {
-                    self.memo.stats.bump(Counter::Compiles);
-                    Rc::clone(entry.insert(Rc::new(CompiledKernel::compile(program.into_owned()))))
-                }
-            }
+        let cached = if exec.memoize {
+            self.lookup(key, exec)
+        } else {
+            None
         };
-        self.memo.stats.bump(Counter::Launches);
-        let result = kernel.launch(&options);
-        let coverage = dynamic_coverage(&result);
+        let (outcome, coverage) = cached.unwrap_or_else(|| {
+            self.bump(Counter::Launches);
+            let result = clc_interp::launch(program, &launch_options(exec));
+            let coverage = dynamic_coverage(&result);
+            let outcome = launch_outcome(result);
+            if exec.memoize {
+                shared_put(key, (outcome.clone(), coverage));
+                if let Some(store) = &exec.store {
+                    store.put(fingerprint, key.1, &outcome, &coverage);
+                }
+            }
+            (outcome, coverage)
+        });
         self.fold_coverage(&coverage);
-        let outcome = launch_outcome(result);
-        self.memo
-            .outcomes
-            .borrow_mut()
-            .insert(key, (outcome.clone(), coverage));
-        shared_put(key, outcome.clone(), coverage);
-        if let Some(store) = &exec.store {
-            store.put(fingerprint, key.1, &outcome);
-        }
         outcome
+    }
+
+    /// Looks `key` up in the process-wide cache, then in the store.
+    fn lookup(
+        &self,
+        key: (Fingerprint, u64),
+        exec: &ExecOptions,
+    ) -> Option<(TestOutcome, CoverageMap)> {
+        if let Some(hit) = shared_get(&key) {
+            self.bump(Counter::SharedHits);
+            return Some(hit);
+        }
+        let hit = exec.store.as_ref()?.get(key.0, key.1)?;
+        self.bump(Counter::StoreHits);
+        shared_put(key, hit.clone());
+        Some(hit)
     }
 }
 
 /// Compiles and executes a kernel on a simulated configuration.
 ///
 /// One-shot form of [`Session::execute`]; a caller fanning the same kernel
-/// over many targets should hold a [`Session`] so compiled programs and
-/// outcomes are shared across the fan-out.
+/// over many targets should hold a [`Session`] so its front-end state (the
+/// features, the optimised AST) is shared across the fan-out.
 pub fn execute(
     program: &Program,
     config: &Configuration,
@@ -898,7 +760,7 @@ fn launch_outcome(result: Result<clc_interp::LaunchResult, RuntimeError>) -> Tes
 }
 
 /// The dynamic-class coverage bit for an outcome kind (bits 4..=7: ok, bf,
-/// crash, timeout).  Available on every path — decided, memoised, launched.
+/// crash, timeout).  Available on every path — decided, cached, launched.
 fn outcome_kind_bit(outcome: &TestOutcome) -> u32 {
     match outcome.kind() {
         "ok" => 4,
@@ -986,6 +848,16 @@ mod tests {
     use crate::configs::{all_configurations, configuration};
     use clc::{BufferSpec, Expr, IdKind, KernelDef, LaunchConfig, ScalarType, Stmt};
 
+    /// Serialises the tests that reset the process-wide cache with the tests
+    /// that assert exact counter values: a reset mid-test turns cache hits
+    /// into launches.  Every test also runs its own program value, so no
+    /// test's counts see another test's cache entries.
+    static CACHE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
+        CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn trivial_program(value: i64) -> Program {
         let mut p = Program::new(
             KernelDef {
@@ -1070,7 +942,7 @@ mod tests {
     #[test]
     fn altera_rejects_vectors_in_structs() {
         use clc::{Field, StructDef, Type, VectorWidth};
-        let mut p = trivial_program(1);
+        let mut p = trivial_program(8);
         p.add_struct(StructDef::new(
             "S",
             vec![Field::new(
@@ -1089,7 +961,7 @@ mod tests {
 
     #[test]
     fn oclgrind_miscompiles_comma_kernels() {
-        let mut p = trivial_program(1);
+        let mut p = trivial_program(10);
         p.kernel.body.stmts[0] = Stmt::assign(
             Expr::index(Expr::var("out"), Expr::IdQuery(IdKind::GlobalLinearId)),
             Expr::comma(Expr::int(5), Expr::int(1)),
@@ -1112,6 +984,7 @@ mod tests {
 
     #[test]
     fn session_fan_out_collapses_identical_compiles_to_few_launches() {
+        let _guard = cache_lock();
         let p = trivial_program(5);
         let session = Session::new(&p);
         let exec = ExecOptions::default();
@@ -1121,7 +994,7 @@ mod tests {
                 outcomes.push(session.execute(&config, opt, &exec));
             }
         }
-        let stats = session.memo().stats();
+        let stats = session.stats();
         assert_eq!(stats.requests, 42);
         assert!(
             stats.launches < stats.requests / 2,
@@ -1150,9 +1023,10 @@ mod tests {
 
     #[test]
     fn session_memoisation_matches_cold_execution_for_generated_outcomes() {
-        // The memo key must separate different exec options for the same
+        // The cache key must separate different exec options for the same
         // fingerprint: the same program with a different schedule or step
         // limit is a different cache line.
+        let _guard = cache_lock();
         let p = trivial_program(2);
         let session = Session::new(&p);
         let fast = ExecOptions::default();
@@ -1166,37 +1040,34 @@ mod tests {
         assert_eq!(starved, TestOutcome::Timeout);
         // Same options again: served from cache, same value.
         assert_eq!(session.reference_execute(&fast), ok);
-        let stats = session.memo().stats();
+        let stats = session.stats();
         assert_eq!(stats.launches, 2, "two distinct exec-option sets");
-        assert_eq!(stats.outcome_hits, 1);
-        assert_eq!(stats.compiles, 1, "one lowered kernel serves both");
+        assert_eq!(stats.shared_hits, 1);
+        assert_eq!(stats.compiles, stats.launches);
     }
 
     #[test]
     fn shared_memo_deduplicates_across_sessions_of_identical_programs() {
-        // Two structurally identical programs behind one memo — the EMI
-        // variant case — must share both the compile and the launch.
+        // Two structurally identical programs — the EMI variant case —
+        // must share the launch through the process-wide cache.
+        let _guard = cache_lock();
         let a = trivial_program(4);
         let b = trivial_program(4);
-        let memo = Rc::new(ExecMemo::new());
-        let sa = Session::with_memo(&a, Rc::clone(&memo));
-        let sb = Session::with_memo(&b, Rc::clone(&memo));
+        let sa = Session::new(&a);
+        let sb = Session::new(&b);
         let exec = ExecOptions::default();
         assert_eq!(sa.reference_execute(&exec), sb.reference_execute(&exec));
-        let stats = memo.stats();
-        assert_eq!(stats.launches, 1);
-        assert_eq!(stats.outcome_hits, 1);
+        assert_eq!(sa.stats().launches + sb.stats().launches, 1);
+        assert_eq!(sb.stats().shared_hits, 1);
     }
 
     #[test]
     fn hit_rates_are_zero_not_nan_without_lookups() {
         let empty = CacheStats::default();
-        assert_eq!(empty.compile_hit_rate(), 0.0);
         assert_eq!(empty.outcome_hit_rate(), 0.0);
         let busy = CacheStats {
             launches: 1,
-            outcome_hits: 1,
-            shared_hits: 1,
+            shared_hits: 2,
             store_hits: 1,
             ..CacheStats::default()
         };
@@ -1205,9 +1076,7 @@ mod tests {
 
     #[test]
     fn shared_cache_and_store_serve_outcomes_beyond_the_job_memo() {
-        // This is the only test allowed to call reset_shared_outcome_cache:
-        // other tests' shared-cache expectations must not race a reset.
-        //
+        let _guard = cache_lock();
         // Part 1 — the on-disk store survives a simulated process death
         // (shared cache cleared, store reopened from the directory).
         let dir =
@@ -1229,14 +1098,14 @@ mod tests {
         };
         let session = Session::new(&p);
         assert_eq!(session.reference_execute(&exec), first);
-        let stats = session.memo().stats();
+        let stats = session.stats();
         assert_eq!(stats.launches, 0, "warm store must skip the launch");
         assert_eq!(stats.store_hits, 1);
         assert_eq!(reopened.stats().hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Part 2 — the process-wide shared cache deduplicates across
-        // sessions with independent memos (i.e. across jobs).
+        // Part 2 — the process-wide cache deduplicates across sessions
+        // (i.e. across jobs).
         let q = trivial_program(11);
         let exec = ExecOptions {
             store: None,
@@ -1244,20 +1113,21 @@ mod tests {
         };
         let a = Session::new(&q);
         let cold = a.reference_execute(&exec);
-        assert_eq!(a.memo().stats().launches, 1);
-        let b = Session::new(&q); // fresh memo, same process
+        assert_eq!(a.stats().launches, 1);
+        let b = Session::new(&q); // fresh session, same process
         assert_eq!(b.reference_execute(&exec), cold);
-        let stats = b.memo().stats();
+        let stats = b.stats();
         assert_eq!(stats.launches, 0, "served from the process-wide cache");
         assert_eq!(stats.shared_hits, 1);
-        // The per-job memo is back-filled: a repeat hits locally.
+        // A repeat within the session is served from the same cache.
         assert_eq!(b.reference_execute(&exec), cold);
-        assert_eq!(b.memo().stats().outcome_hits, 1);
+        assert_eq!(b.stats().shared_hits, 2);
     }
 
     #[test]
     fn coverage_replays_identically_from_every_cache_level() {
-        let p = trivial_program(11);
+        let _guard = cache_lock();
+        let p = trivial_program(13);
         let exec = ExecOptions {
             store: None,
             ..ExecOptions::default()
@@ -1285,6 +1155,26 @@ mod tests {
             ..ExecOptions::default()
         };
         assert_eq!(fan_out(&unmemoised), cold);
+        // And so must fan-outs through the on-disk store, process-cold each
+        // time: a cold store launches and records, a warm store replays the
+        // launches' coverage from disk.
+        let dir =
+            std::env::temp_dir().join(format!("clfuzz-platform-coverage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
+        let stored = ExecOptions {
+            store: Some(Arc::clone(&store)),
+            ..ExecOptions::default()
+        };
+        reset_shared_outcome_cache();
+        assert_eq!(fan_out(&stored), cold, "cold store");
+        reset_shared_outcome_cache();
+        assert_eq!(fan_out(&stored), cold, "warm store");
+        assert!(
+            store.stats().hits > 0,
+            "the warm fan-out must hit the store"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

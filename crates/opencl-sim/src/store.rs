@@ -1,14 +1,15 @@
 //! The cross-campaign outcome store: an on-disk content-addressed cache of
-//! kernel execution outcomes.
+//! kernel executions.
 //!
-//! The in-memory caches ([`ExecMemo`](crate::ExecMemo) per job, the
-//! process-wide shared cache in [`platform`](crate::platform)) die with the
-//! process; campaigns, reducer runs and repeated table regenerations
+//! Executions are cached at two levels with one key and one value.  The
+//! process-wide cache in [`platform`](crate::platform) dies with the
+//! process; campaigns, reducer runs and repeated table regenerations would
 //! re-execute structurally identical kernels from scratch.  This module
-//! persists the outcome cache's `(fingerprint, exec-option key)` →
-//! [`TestOutcome`] mapping to a directory, so every process pointed at the
-//! same store — sequential re-runs or concurrent shard processes — shares
-//! one ever-growing cache.
+//! persists the same `(fingerprint, exec-option key)` →
+//! `(`[`TestOutcome`]`, `[`CoverageMap`]`)` mapping to a directory, so every
+//! process pointed at the same store — sequential re-runs or concurrent
+//! shard processes — shares one ever-growing cache, and a store hit replays
+//! the launch's coverage as well as its outcome.
 //!
 //! ## Entry format
 //!
@@ -17,7 +18,7 @@
 //! by an exact-length payload:
 //!
 //! ```text
-//! CLFUZZ-STORE 1 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
+//! CLFUZZ-STORE 2 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
 //! <payload-len bytes of payload>
 //! ```
 //!
@@ -26,6 +27,11 @@
 //! payload, so a torn write, a bit flip, a version bump or a foreign file
 //! can never be mistaken for a valid entry — every corruption degrades to a
 //! cache **miss**, never to a wrong outcome.
+//!
+//! The payload's first line is the outcome kind (plus the result hash for
+//! `ok`) followed by the launch's [`CoverageMap::token`]; the rest is the
+//! outcome's raw message or output text.  Version 1 entries carried no
+//! coverage; they fail validation and degrade to misses.
 //!
 //! ## Concurrency
 //!
@@ -41,6 +47,7 @@
 use crate::platform::TestOutcome;
 use clc::Fingerprint;
 use clc_interp::fnv1a;
+use clsmith::CoverageMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,7 +96,7 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The store format tag; bumping the version invalidates (as misses) every
 /// existing entry.
-const FORMAT: &str = "CLFUZZ-STORE 1";
+const FORMAT: &str = "CLFUZZ-STORE 2";
 
 /// Default size cap (bytes) when `CLFUZZ_STORE_CAP` is unset.
 const DEFAULT_CAP: u64 = 256 * 1024 * 1024;
@@ -234,8 +241,8 @@ impl OutcomeStore {
             .join(format!("{:016x}-{key:016x}", fingerprint.0))
     }
 
-    /// Looks up an outcome, distinguishing the three ways a lookup can come
-    /// up empty:
+    /// Looks up an outcome and the coverage its launch produced,
+    /// distinguishing the three ways a lookup can come up empty:
     ///
     /// - the entry simply is not there (`NotFound`): a plain miss;
     /// - the read failed with any other I/O error: retried once after a
@@ -246,7 +253,7 @@ impl OutcomeStore {
     ///   version-mismatched, foreign — a miss counted under
     ///   `corrupt_entries`, and the file is deleted so it cannot consume
     ///   cap space forever.
-    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
+    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<(TestOutcome, CoverageMap)> {
         let path = self.entry_path(fingerprint, key);
         let bytes = match self.read_entry(&path) {
             Ok(bytes) => bytes,
@@ -261,9 +268,9 @@ impl OutcomeStore {
             }
         };
         match parse_entry(&bytes, fingerprint, key) {
-            Some(outcome) => {
+            Some(execution) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(outcome)
+                Some(execution)
             }
             None => {
                 self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
@@ -294,14 +301,21 @@ impl OutcomeStore {
         }
     }
 
-    /// Persists an outcome (best effort: I/O errors disable nothing and
-    /// corrupt nothing — the entry is simply absent next time).
-    pub fn put(&self, fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) {
+    /// Persists an outcome and its launch coverage (best effort: I/O errors
+    /// disable nothing and corrupt nothing — the entry is simply absent next
+    /// time).
+    pub fn put(
+        &self,
+        fingerprint: Fingerprint,
+        key: u64,
+        outcome: &TestOutcome,
+        coverage: &CoverageMap,
+    ) {
         if injected_fault(StoreOp::Write).is_some() {
             return;
         }
         let path = self.entry_path(fingerprint, key);
-        let bytes = render_entry(fingerprint, key, outcome);
+        let bytes = render_entry(fingerprint, key, outcome, coverage);
         let Some(parent) = path.parent() else { return };
         if std::fs::create_dir_all(parent).is_err() {
             return;
@@ -398,38 +412,47 @@ fn cap_from_env() -> u64 {
         .unwrap_or(DEFAULT_CAP)
 }
 
-/// Serialises an outcome to the payload carried after the header line.  The
-/// first payload line is the outcome kind (plus the result hash for `ok`);
-/// the rest is the raw message/output text, which may itself contain any
-/// bytes — the header's exact payload length makes escaping unnecessary.
-fn render_payload(outcome: &TestOutcome) -> Vec<u8> {
+/// Serialises an execution to the payload carried after the header line.
+/// The first payload line is the outcome kind (plus the result hash for
+/// `ok`) and the coverage token; the rest is the raw message/output text,
+/// which may itself contain any bytes — the header's exact payload length
+/// makes escaping unnecessary.
+fn render_payload(outcome: &TestOutcome, coverage: &CoverageMap) -> Vec<u8> {
+    let coverage = coverage.token();
     let text = match outcome {
-        TestOutcome::Result { hash, output } => format!("ok {hash:016x}\n{output}"),
-        TestOutcome::BuildFailure(msg) => format!("bf\n{msg}"),
-        TestOutcome::Crash(msg) => format!("c\n{msg}"),
-        TestOutcome::Timeout => "to\n".to_string(),
+        TestOutcome::Result { hash, output } => format!("ok {hash:016x} {coverage}\n{output}"),
+        TestOutcome::BuildFailure(msg) => format!("bf {coverage}\n{msg}"),
+        TestOutcome::Crash(msg) => format!("c {coverage}\n{msg}"),
+        TestOutcome::Timeout => format!("to {coverage}\n"),
     };
     text.into_bytes()
 }
 
-fn parse_payload(payload: &[u8]) -> Option<TestOutcome> {
+fn parse_payload(payload: &[u8]) -> Option<(TestOutcome, CoverageMap)> {
     let text = std::str::from_utf8(payload).ok()?;
     let (head, rest) = text.split_once('\n')?;
-    match head.split(' ').collect::<Vec<_>>().as_slice() {
-        ["ok", hash] => Some(TestOutcome::Result {
+    let (kind, coverage) = head.rsplit_once(' ')?;
+    let outcome = match kind.split(' ').collect::<Vec<_>>().as_slice() {
+        ["ok", hash] => TestOutcome::Result {
             hash: u64::from_str_radix(hash, 16).ok()?,
             output: rest.to_string(),
-        }),
-        ["bf"] => Some(TestOutcome::BuildFailure(rest.to_string())),
-        ["c"] => Some(TestOutcome::Crash(rest.to_string())),
-        ["to"] => Some(TestOutcome::Timeout),
-        _ => None,
-    }
+        },
+        ["bf"] => TestOutcome::BuildFailure(rest.to_string()),
+        ["c"] => TestOutcome::Crash(rest.to_string()),
+        ["to"] => TestOutcome::Timeout,
+        _ => return None,
+    };
+    Some((outcome, CoverageMap::parse(coverage)?))
 }
 
 /// Renders a complete self-checksummed entry file.
-fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Vec<u8> {
-    let payload = render_payload(outcome);
+fn render_entry(
+    fingerprint: Fingerprint,
+    key: u64,
+    outcome: &TestOutcome,
+    coverage: &CoverageMap,
+) -> Vec<u8> {
+    let payload = render_payload(outcome, coverage);
     let digest = fnv1a(&payload);
     let prefix = format!(
         "{FORMAT} {:016x} {key:016x} {} {digest:016x}",
@@ -443,7 +466,11 @@ fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Ve
 }
 
 /// Parses and fully validates an entry file; `None` on any defect.
-fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
+fn parse_entry(
+    bytes: &[u8],
+    fingerprint: Fingerprint,
+    key: u64,
+) -> Option<(TestOutcome, CoverageMap)> {
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
     let payload = &bytes[newline + 1..];
@@ -451,21 +478,25 @@ fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestO
     if u64::from_str_radix(crc, 16).ok()? != fnv1a(prefix.as_bytes()) {
         return None;
     }
-    let fields: Vec<&str> = prefix.split(' ').collect();
-    // "CLFUZZ-STORE" "1" fp key len digest
-    if fields.len() != 6 || fields[0] != "CLFUZZ-STORE" || fields[1] != "1" {
+    // FORMAT, then: fp key len digest
+    let fields: Vec<&str> = prefix
+        .strip_prefix(FORMAT)?
+        .strip_prefix(' ')?
+        .split(' ')
+        .collect();
+    if fields.len() != 4 {
         return None;
     }
-    if u64::from_str_radix(fields[2], 16).ok()? != fingerprint.0
-        || u64::from_str_radix(fields[3], 16).ok()? != key
+    if u64::from_str_radix(fields[0], 16).ok()? != fingerprint.0
+        || u64::from_str_radix(fields[1], 16).ok()? != key
     {
         return None;
     }
-    let len: usize = fields[4].parse().ok()?;
+    let len: usize = fields[2].parse().ok()?;
     if payload.len() != len {
         return None;
     }
-    if u64::from_str_radix(fields[5], 16).ok()? != fnv1a(payload) {
+    if u64::from_str_radix(fields[3], 16).ok()? != fnv1a(payload) {
         return None;
     }
     parse_payload(payload)
@@ -474,6 +505,16 @@ fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clsmith::CoverageClass;
+
+    /// A coverage map with a few bits set in every class.
+    fn sample_coverage(seed: u32) -> CoverageMap {
+        let mut map = CoverageMap::new();
+        for (i, class) in CoverageClass::ALL.into_iter().enumerate() {
+            map.set(class, seed + 7 * i as u32);
+        }
+        map
+    }
 
     fn temp_store(name: &str) -> PathBuf {
         let dir =
@@ -499,8 +540,9 @@ mod tests {
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
             let fp = Fingerprint(0x1234 + i as u64);
             let key = 0x9999 + i as u64;
-            let bytes = render_entry(fp, key, &outcome);
-            assert_eq!(parse_entry(&bytes, fp, key), Some(outcome));
+            let coverage = sample_coverage(i as u32);
+            let bytes = render_entry(fp, key, &outcome, &coverage);
+            assert_eq!(parse_entry(&bytes, fp, key), Some((outcome, coverage)));
         }
     }
 
@@ -512,13 +554,14 @@ mod tests {
             hash: 42,
             output: "5,5,5".into(),
         };
-        let bytes = render_entry(fp, key, &outcome);
+        let coverage = sample_coverage(3);
+        let bytes = render_entry(fp, key, &outcome, &coverage);
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let parsed = parse_entry(&flipped, fp, key);
             assert!(
-                parsed.is_none() || parsed == Some(outcome.clone()),
+                parsed.is_none() || parsed == Some((outcome.clone(), coverage)),
                 "bit flip {bit} produced a different outcome"
             );
             // Strictly: flips inside checksummed regions must be misses.
@@ -537,18 +580,32 @@ mod tests {
     fn wrong_key_wrong_fingerprint_and_wrong_version_are_misses() {
         let fp = Fingerprint(0xAB);
         let key = 7;
-        let bytes = render_entry(fp, key, &TestOutcome::Timeout);
+        let bytes = render_entry(fp, key, &TestOutcome::Timeout, &CoverageMap::new());
         assert_eq!(parse_entry(&bytes, Fingerprint(0xAC), key), None);
         assert_eq!(parse_entry(&bytes, fp, 8), None);
-        // A version bump invalidates old entries even with a valid crc.
-        let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replace("CLFUZZ-STORE 1", "CLFUZZ-STORE 2");
-        let (prefix, _) = bumped.split_once('\n').unwrap();
-        let (fields, _) = prefix.rsplit_once(' ').unwrap();
-        let crc = fnv1a(fields.as_bytes());
-        let mut rebuilt = format!("{fields} {crc:016x}\n").into_bytes();
-        rebuilt.extend_from_slice(b"to\n");
-        assert_eq!(parse_entry(&rebuilt, fp, key), None);
+        // Another version invalidates entries even with a valid crc and
+        // digest: a version-1 entry (outcome only, no coverage) and a
+        // future version-3 entry are both misses.
+        let entry = |version: &str, payload: &[u8]| {
+            let prefix = format!(
+                "CLFUZZ-STORE {version} {:016x} {key:016x} {} {:016x}",
+                fp.0,
+                payload.len(),
+                fnv1a(payload)
+            );
+            let crc = fnv1a(prefix.as_bytes());
+            let mut bytes = format!("{prefix} {crc:016x}\n").into_bytes();
+            bytes.extend_from_slice(payload);
+            bytes
+        };
+        assert_eq!(parse_entry(&entry("1", b"to\n"), fp, key), None);
+        let v2_payload = render_payload(&TestOutcome::Timeout, &CoverageMap::new());
+        assert_eq!(parse_entry(&entry("3", &v2_payload), fp, key), None);
+        assert_eq!(
+            parse_entry(&entry("2", &v2_payload), fp, key),
+            Some((TestOutcome::Timeout, CoverageMap::new())),
+            "the helper must build valid entries at the current version"
+        );
     }
 
     #[test]
@@ -558,8 +615,9 @@ mod tests {
         let fp = Fingerprint(0xF00);
         assert_eq!(store.get(fp, 1), None);
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
-            store.put(fp, i as u64, &outcome);
-            assert_eq!(store.get(fp, i as u64), Some(outcome));
+            let coverage = sample_coverage(i as u32);
+            store.put(fp, i as u64, &outcome, &coverage);
+            assert_eq!(store.get(fp, i as u64), Some((outcome, coverage)));
         }
         let stats = store.stats();
         assert_eq!(stats.hits, 4);
@@ -579,7 +637,7 @@ mod tests {
         let dir = temp_store("corrupt");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xC0);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
         let path = store.entry_path(fp, 0);
         // Bit-flip the file in place.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -589,7 +647,12 @@ mod tests {
         assert_eq!(store.get(fp, 0), None);
         assert!(!path.exists(), "corrupt entry should be deleted");
         // Truncated file: also a miss.
-        store.put(fp, 1, &TestOutcome::Crash("boom".into()));
+        store.put(
+            fp,
+            1,
+            &TestOutcome::Crash("boom".into()),
+            &CoverageMap::new(),
+        );
         let path = store.entry_path(fp, 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
@@ -608,7 +671,7 @@ mod tests {
         assert_eq!(store.stats().transient_errors, 0);
         // Corrupt entry: counted once, deleted, and the follow-up lookup is
         // a plain miss again.
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
         let path = store.entry_path(fp, 0);
         std::fs::write(&path, b"not a store entry").unwrap();
         assert_eq!(store.get(fp, 0), None);
@@ -649,9 +712,12 @@ mod tests {
         let dir = temp_store("transient-recover");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEE);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
         fail_next_on_this_thread(StoreOp::Read, 1);
-        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
+        assert_eq!(
+            store.get(fp, 0),
+            Some((TestOutcome::Timeout, CoverageMap::new()))
+        );
         set_io_fault_hook(None);
         let stats = store.stats();
         assert_eq!(stats.hits, 1);
@@ -665,7 +731,7 @@ mod tests {
         let dir = temp_store("transient-exhaust");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEF);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
         fail_next_on_this_thread(StoreOp::Read, 2);
         assert_eq!(store.get(fp, 0), None, "both attempts failed");
         set_io_fault_hook(None);
@@ -677,7 +743,10 @@ mod tests {
             "transient failure must not delete the entry"
         );
         // With the fault gone, the same lookup hits.
-        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
+        assert_eq!(
+            store.get(fp, 0),
+            Some((TestOutcome::Timeout, CoverageMap::new()))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -688,23 +757,31 @@ mod tests {
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xF0);
         fail_next_on_this_thread(StoreOp::Write, 1);
-        store.put(fp, 0, &TestOutcome::Timeout);
+        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
         set_io_fault_hook(None);
         assert_eq!(store.stats().writes, 0);
         assert_eq!(store.get(fp, 0), None, "faulted put published nothing");
         // The next put goes through.
-        store.put(fp, 0, &TestOutcome::Timeout);
-        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
+        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
+        assert_eq!(
+            store.get(fp, 0),
+            Some((TestOutcome::Timeout, CoverageMap::new()))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eviction_keeps_the_store_under_its_cap() {
         let dir = temp_store("evict");
-        // A tiny cap: every entry is ~60 bytes, so 4 writes must evict.
+        // A tiny cap: every entry is ~130 bytes, so 2 writes must evict.
         let store = OutcomeStore::open_with_cap(&dir, 150).unwrap();
         for i in 0..8u64 {
-            store.put(Fingerprint(i << 56 | i), i, &TestOutcome::Timeout);
+            store.put(
+                Fingerprint(i << 56 | i),
+                i,
+                &TestOutcome::Timeout,
+                &CoverageMap::new(),
+            );
         }
         let stats = store.stats();
         assert!(stats.evictions > 0, "cap 150 must force evictions");

@@ -1,18 +1,69 @@
-//! The deduplicated execution layer's headline guarantee: memoising the
+//! The deduplicated execution layer's headline guarantee: caching the
 //! execution phase by `(fingerprint, exec-relevant options)` NEVER changes
-//! campaign results.  Every campaign family is run with the memo forced off
-//! (a cold compile + launch per target, the historical behaviour) and with
-//! it on, and the rendered tables must be **bit-identical** — and the same
-//! holds for the on-disk outcome store: store off, cold store and warm
-//! store must render identical tables on both interpreter tiers.
+//! campaign results.  Every campaign family is run with caching forced off
+//! (a cold launch per target) and with it on, and the rendered tables must
+//! be **bit-identical** — and the same holds for the on-disk outcome store:
+//! store off, cold store and warm store must render identical tables on
+//! both interpreter tiers, including the coverage-guided corpus table,
+//! whose acceptance decisions read the coverage the store replays.
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::{
-    classify_configurations_with, render_campaign_table, render_emi_table, run_emi_campaign_with,
-    run_mode_campaign_with, CampaignOptions, EmiCampaignOptions, Scheduler,
+    classify_configurations_with, render_campaign_table, render_corpus_table, render_emi_table,
+    run_corpus_campaign_with, run_emi_campaign_with, run_mode_campaign_with, CampaignOptions,
+    CorpusOptions, EmiCampaignOptions, Scheduler,
 };
 use opencl_sim::{ExecOptions, ExecutionTier, OutcomeStore};
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Serialises the tests that reset the process-wide cache with the test
+/// that asserts exact counter values: a reset mid-test turns cache hits
+/// into launches.
+static CACHE_LOCK: Mutex<()> = Mutex::new(());
+
+fn cache_lock() -> MutexGuard<'static, ()> {
+    CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A fresh (removed) store directory private to this process and `name`.
+fn store_dir(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("clfuzz-store-equiv-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Renders `run` with the store off, cold and warm — each pass starting
+/// process-cold, so the only state carried between passes is the on-disk
+/// store itself — and asserts all three tables are identical.
+fn assert_store_never_changes_the_table(
+    label: &str,
+    dir: &Path,
+    run: impl Fn(Option<Arc<OutcomeStore>>) -> String,
+) {
+    let pass = |store: Option<Arc<OutcomeStore>>| {
+        opencl_sim::reset_shared_outcome_cache();
+        run(store)
+    };
+    let off = pass(None);
+    let cold_store = Arc::new(OutcomeStore::open_with_cap(dir, u64::MAX).unwrap());
+    let cold = pass(Some(Arc::clone(&cold_store)));
+    assert!(
+        cold_store.stats().writes > 0,
+        "{label}: cold pass must populate the store"
+    );
+    // A second handle over the same directory models a fresh process.
+    let warm_store = Arc::new(OutcomeStore::open_with_cap(dir, u64::MAX).unwrap());
+    let warm = pass(Some(Arc::clone(&warm_store)));
+    assert_eq!(off, cold, "{label}: a cold store changed the table");
+    assert_eq!(off, warm, "{label}: a warm store changed the table");
+    assert!(
+        warm_store.stats().hits > 0,
+        "{label}: warm pass must serve outcomes from the store"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
 
 fn options(memoize: bool, seed_offset: u64) -> CampaignOptions {
     CampaignOptions {
@@ -32,7 +83,7 @@ fn options(memoize: bool, seed_offset: u64) -> CampaignOptions {
 }
 
 #[test]
-fn table4_mode_campaign_is_bit_identical_with_memo_off_and_on() {
+fn table4_mode_campaign_is_bit_identical_with_caching_off_and_on() {
     let configs = vec![
         opencl_sim::configuration(1),
         opencl_sim::configuration(9),
@@ -52,7 +103,7 @@ fn table4_mode_campaign_is_bit_identical_with_memo_off_and_on() {
 }
 
 #[test]
-fn table1_classification_is_bit_identical_with_memo_off_and_on() {
+fn table1_classification_is_bit_identical_with_caching_off_and_on() {
     let configs = vec![
         opencl_sim::configuration(1),
         opencl_sim::configuration(12),
@@ -75,7 +126,7 @@ fn table1_classification_is_bit_identical_with_memo_off_and_on() {
 }
 
 #[test]
-fn table5_emi_campaign_is_bit_identical_with_memo_off_and_on() {
+fn table5_emi_campaign_is_bit_identical_with_caching_off_and_on() {
     let configs = vec![opencl_sim::configuration(1), opencl_sim::configuration(19)];
     let emi_options = |memoize: bool| EmiCampaignOptions {
         bases: 2,
@@ -94,6 +145,7 @@ fn table5_emi_campaign_is_bit_identical_with_memo_off_and_on() {
 
 #[test]
 fn tables_are_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
+    let _guard = cache_lock();
     let configs = vec![
         opencl_sim::configuration(1),
         opencl_sim::configuration(9),
@@ -101,16 +153,8 @@ fn tables_are_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
     ];
     let scheduler = Scheduler::sequential();
     for tier in ExecutionTier::ALL {
-        let dir = std::env::temp_dir().join(format!(
-            "clfuzz-store-equiv-{}-{}",
-            std::process::id(),
-            tier.name()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = store_dir(tier.name());
         let run = |store: Option<Arc<OutcomeStore>>| {
-            // Each pass starts process-cold, so the only state carried
-            // between passes is the on-disk store itself.
-            opencl_sim::reset_shared_outcome_cache();
             let options = CampaignOptions {
                 kernels: 6,
                 generator: GeneratorOptions {
@@ -133,29 +177,47 @@ fn tables_are_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
                 &options,
             ))
         };
-        let off = run(None);
-        let cold_store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
-        let cold = run(Some(Arc::clone(&cold_store)));
-        assert!(
-            cold_store.stats().writes > 0,
-            "cold pass must populate the store"
-        );
-        // A second handle over the same directory models a fresh process.
-        let warm_store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
-        let warm = run(Some(Arc::clone(&warm_store)));
-        assert_eq!(off, cold, "{}: a cold store changed the table", tier.name());
-        assert_eq!(off, warm, "{}: a warm store changed the table", tier.name());
-        assert!(
-            warm_store.stats().hits > 0,
-            "warm pass must serve outcomes from the store"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_store_never_changes_the_table(tier.name(), &dir, run);
+    }
+}
+
+#[test]
+fn corpus_table_is_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
+    let _guard = cache_lock();
+    let configs = vec![
+        opencl_sim::configuration(1),
+        opencl_sim::configuration(9),
+        opencl_sim::configuration(19),
+    ];
+    let scheduler = Scheduler::sequential();
+    for tier in ExecutionTier::ALL {
+        let dir = store_dir(&format!("corpus-{}", tier.name()));
+        let run = |store: Option<Arc<OutcomeStore>>| {
+            let options = CorpusOptions {
+                lineages: 3,
+                chain: 3,
+                generator: GeneratorOptions {
+                    min_threads: 16,
+                    max_threads: 48,
+                    ..GeneratorOptions::default()
+                },
+                exec: ExecOptions {
+                    tier,
+                    store,
+                    ..ExecOptions::default()
+                },
+                seed_offset: 0xC0DE,
+            };
+            render_corpus_table(&run_corpus_campaign_with(&scheduler, &configs, &options))
+        };
+        assert_store_never_changes_the_table(&format!("corpus {}", tier.name()), &dir, run);
     }
 }
 
 #[test]
 fn memoised_campaigns_actually_deduplicate_launches() {
-    // Not just correct — the memo must also *work*: across a small
+    let _guard = cache_lock();
+    // Not just correct — the cache must also *work*: across a small
     // single-kernel fan-out over every configuration, real launches must
     // fall well below the target count.
     let program = clsmith::generate(&GeneratorOptions {
@@ -167,7 +229,7 @@ fn memoised_campaigns_actually_deduplicate_launches() {
     assert_eq!(targets.len(), 42);
     let session = opencl_sim::Session::new(&program);
     fuzz_harness::run_on_targets_session(&session, &targets, &ExecOptions::default());
-    let stats = session.memo().stats();
+    let stats = session.stats();
     assert_eq!(stats.requests, 42);
     assert!(
         stats.launches <= stats.requests / 2,

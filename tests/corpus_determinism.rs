@@ -1,15 +1,15 @@
 //! The corpus campaign's determinism invariant (the feedback-loop
 //! extension of `tests/shard_equivalence.rs`): for a fixed campaign seed,
 //! the rendered guided-vs-blind table and the **canonical journal record
-//! set** are bit-identical at 1, 3 and 8 workers, under both scheduler
-//! modes (batch and pipelined stage hand-off), on both interpreter tiers.
+//! set** are bit-identical at 1, 3 and 8 workers, in batch mode (the only
+//! scheduler mode), on both interpreter tiers.
 //!
-//! Journal *bytes* are deliberately not compared: `run_sharded` streams
-//! records in completion order, which legitimately varies with worker
-//! count.  The canonical set — job index → payload, which is what resume
-//! and merge consume — must not.
+//! Journal *bytes* are deliberately not compared: the shard executor
+//! (`run_corpus_campaign_sharded`) appends records in completion order,
+//! which legitimately varies with worker count.  The canonical set — job
+//! index → payload, which is what resume and merge consume — must not.
 //!
-//! The runs intentionally share the process-wide outcome cache (no reset
+//! The runs intentionally share the process-wide execution cache (no reset
 //! between worker counts): a later run replays dynamic coverage from cache
 //! entries populated by an earlier one, so this test also pins the
 //! coverage-replays-identically property of the platform's cache levels.
