@@ -595,11 +595,6 @@ impl Job for LatencyJob {
     }
 }
 
-/// Demonstrates that the scheduler genuinely overlaps job execution: 16
-/// fixed-latency jobs at 4 workers must finish at least twice as fast as at
-/// 1 worker.  Unlike [`bench_campaign_scaling`] this holds on any machine —
-/// including single-core CI boxes, where a CPU-bound campaign cannot
-/// physically speed up no matter how it is scheduled.
 /// The `analysis_*` axes: analyzer-only throughput, verdict-class rejection
 /// rates, and the wall-clock effect of static pre-filtering on a campaign.
 fn bench_analysis(kernels: usize, metrics: &mut Metrics) {
@@ -673,69 +668,11 @@ fn bench_analysis(kernels: usize, metrics: &mut Metrics) {
     metrics.record("analysis_prefilter_speedup", speedup);
 }
 
-/// The corpus-campaign measurement: coverage-guided vs blind mutation
-/// chains over the same lineage seeds at the same kernel budget.  Records
-/// the `corpus_*` axes — coverage saturation and bugs-per-kernel for each
-/// strategy plus the guided acceptance rate — and asserts the rendered
-/// comparison table is byte-identical at 1 and 4 workers, extending the
-/// determinism invariant to the feedback loop.
-fn bench_corpus(lineages: usize, metrics: &mut Metrics) {
-    println!("corpus campaign ({lineages} lineages per strategy, guided vs blind)");
-    let configs = vec![
-        configuration(1),
-        configuration(9),
-        configuration(14),
-        configuration(19),
-    ];
-    let options = fuzz_harness::CorpusOptions {
-        lineages,
-        chain: 4,
-        generator: GeneratorOptions {
-            min_threads: 16,
-            max_threads: 48,
-            ..GeneratorOptions::default()
-        },
-        exec: ExecOptions {
-            store: None,
-            ..ExecOptions::default()
-        },
-        seed_offset: 0xC0DE,
-    };
-    let mut tables: Vec<String> = Vec::new();
-    let mut elapsed = Duration::ZERO;
-    let mut last: Option<fuzz_harness::CorpusCampaignResult> = None;
-    for workers in [1usize, 4] {
-        let scheduler = Scheduler::new(workers);
-        // Each worker count does the same cold work — without the reset the
-        // 4-worker pass would replay the 1-worker pass's shared cache.
-        opencl_sim::reset_shared_outcome_cache();
-        let start = Instant::now();
-        let result = fuzz_harness::run_corpus_campaign_with(&scheduler, &configs, &options);
-        elapsed = start.elapsed();
-        tables.push(fuzz_harness::render_corpus_table(&result));
-        last = Some(result);
-    }
-    assert_eq!(
-        tables[0], tables[1],
-        "corpus tables diverged between 1 and 4 workers"
-    );
-    let result = last.expect("corpus campaign ran");
-    let (guided, blind) = (result.guided(), result.blind());
-    println!(
-        "  guided {:>8.3} bugs/kernel at {:.1}% saturation   blind {:>8.3} at {:.1}%   acceptance {:.1}%   ({elapsed:.1?} at 4 workers, tables byte-identical)",
-        guided.bugs_per_kernel(),
-        guided.saturation() * 100.0,
-        blind.bugs_per_kernel(),
-        blind.saturation() * 100.0,
-        guided.acceptance_rate() * 100.0,
-    );
-    metrics.record("corpus_saturation_guided", guided.saturation());
-    metrics.record("corpus_saturation_blind", blind.saturation());
-    metrics.record("corpus_bugs_per_kernel_guided", guided.bugs_per_kernel());
-    metrics.record("corpus_bugs_per_kernel_blind", blind.bugs_per_kernel());
-    metrics.record("corpus_mutation_acceptance_rate", guided.acceptance_rate());
-}
-
+/// Demonstrates that the scheduler genuinely overlaps job execution: 16
+/// fixed-latency jobs at 4 workers must finish at least twice as fast as at
+/// 1 worker.  Unlike [`bench_campaign_scaling`] this holds on any machine —
+/// including single-core CI boxes, where a CPU-bound campaign cannot
+/// physically speed up no matter how it is scheduled.
 fn bench_scheduler_overlap() {
     println!("scheduler overlap (16 jobs × 25ms latency)");
     let jobs = || {
@@ -782,7 +719,6 @@ fn main() {
     bench_store(if quick { 4 } else { 12 }, &mut metrics);
     bench_shard_resume(if quick { 8 } else { 24 }, &mut metrics);
     bench_analysis(if quick { 8 } else { 24 }, &mut metrics);
-    bench_corpus(if quick { 4 } else { 12 }, &mut metrics);
     bench_scheduler_overlap();
     // CPU-bound scaling: speedup tracks the machine's core count (×1.0 on a
     // single-core box); the byte-identity assertion holds everywhere.

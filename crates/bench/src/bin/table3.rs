@@ -182,8 +182,15 @@ impl Campaign for BenchmarkGrid {
         CellGrid(vec![None; self.job_count() as usize])
     }
 
-    fn fold(&self, tally: &mut CellGrid, g: u64, cell: BenchmarkCell) {
-        tally.0[g as usize] = Some(cell);
+    fn fold(&self, tally: &mut CellGrid, g: u64, cell: BenchmarkCell) -> Result<(), JournalError> {
+        let slot = tally.0.get_mut(g as usize).ok_or_else(|| {
+            JournalError::Format(format!(
+                "job {g} lies past the {}-cell grid",
+                self.job_count()
+            ))
+        })?;
+        *slot = Some(cell);
+        Ok(())
     }
 }
 

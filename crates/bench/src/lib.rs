@@ -6,9 +6,9 @@
 //! throughput, including how campaign wall-clock scales with the worker
 //! count of the `fuzz_harness::exec` scheduler.
 //!
-//! The campaign binaries (`table1`, `table3`, `table4`, `table5`, `corpus`)
-//! are each a [`Table`] over a `fuzz_harness::Campaign`, and all of them run
-//! through [`campaign_main`], so they share one command line:
+//! The campaign binaries (`table1`, `table3`, `table4`, `table5`) are each
+//! a [`Table`] over a `fuzz_harness::Campaign`, and all of them run through
+//! [`campaign_main`], so they share one command line:
 //!
 //! * `--threads N` pins the scheduler's worker count (default:
 //!   `FUZZ_THREADS` or the machine's available parallelism; `N` must be at

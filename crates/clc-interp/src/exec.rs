@@ -153,12 +153,6 @@ pub struct LaunchResult {
     /// and tier-specific: the bytecode tier's register file keeps scalar
     /// temporaries out of the object table entirely.
     pub objects_allocated: u64,
-    /// Maximum number of barriers any work-group released — how deep the
-    /// barrier-arrival ladder ran.  Tier-identical (both tiers share the
-    /// cooperative scheduler) and schedule-independent for race-free
-    /// kernels, so coverage feedback may fold it into its dynamic bits.
-    /// Excluded from memoised outcomes, like `race_stats`.
-    pub barrier_intervals: u64,
 }
 
 thread_local! {
@@ -311,7 +305,6 @@ fn launch_with(
     let groups = launch_cfg.groups();
     let mut total_steps = 0u64;
     let mut soft_barriers = 0u64;
-    let mut barrier_intervals = 0u64;
 
     // Run the group loop and result readback inside a closure so that the
     // detector is harvested and returned to the spare slot on the error
@@ -333,7 +326,6 @@ fn launch_with(
                             group,
                             &mut total_steps,
                             &mut soft_barriers,
-                            &mut barrier_intervals,
                         )?,
                         None => run_group(
                             program,
@@ -345,7 +337,6 @@ fn launch_with(
                             group,
                             &mut total_steps,
                             &mut soft_barriers,
-                            &mut barrier_intervals,
                         )?,
                     }
                 }
@@ -387,7 +378,6 @@ fn launch_with(
         soft_barriers,
         race_stats,
         objects_allocated: memory.allocations(),
-        barrier_intervals,
     })
 }
 
@@ -428,17 +418,12 @@ pub(crate) trait CoopItem {
 /// The per-group cooperative scheduler shared by both execution tiers: runs
 /// ready work-items in schedule order until all finish, detecting barrier
 /// divergence and propagating the first failure.
-///
-/// Returns the number of barriers the group released — i.e. how many
-/// barrier intervals beyond the first the group advanced through.  Both
-/// tiers walk the same statements through the same scheduler, so the count
-/// is tier-identical.
 pub(crate) fn drive_group<T: CoopItem>(
     items: &mut [T],
     schedule: Schedule,
     group_linear: usize,
     mut run: impl FnMut(&mut T),
-) -> Result<u64, RuntimeError> {
+) -> Result<(), RuntimeError> {
     let n = items.len();
     let mut round = 0u64;
     loop {
@@ -468,7 +453,7 @@ pub(crate) fn drive_group<T: CoopItem>(
             return Err(e);
         }
         if done == n {
-            return Ok(round);
+            return Ok(());
         }
         if waiting.is_empty() {
             // All remaining are Ready (should not happen: `run` always leaves
@@ -617,7 +602,6 @@ fn run_group<'p>(
     group: [usize; 3],
     total_steps: &mut u64,
     soft_barriers: &mut u64,
-    barrier_intervals: &mut u64,
 ) -> Result<(), RuntimeError> {
     let cfg = &program.launch;
     let num_groups = cfg.groups();
@@ -657,13 +641,12 @@ fn run_group<'p>(
         }
     }
 
-    let released = drive_group(
+    drive_group(
         &mut items,
         options.schedule,
         group_linear(group, num_groups),
         |item| run_item(program, options, memory, races, &mut group_locals, item),
     )?;
-    *barrier_intervals = (*barrier_intervals).max(released);
 
     for item in &mut items {
         *total_steps += item.steps;

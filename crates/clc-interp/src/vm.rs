@@ -120,7 +120,6 @@ pub(crate) fn run_group(
     group: [usize; 3],
     total_steps: &mut u64,
     soft_barriers: &mut u64,
-    barrier_intervals: &mut u64,
 ) -> Result<(), RuntimeError> {
     let cfg = &program.launch;
     let local = cfg.local;
@@ -174,13 +173,12 @@ pub(crate) fn run_group(
         races,
         group_locals: &mut group_locals,
     };
-    let released = drive_group(
+    drive_group(
         &mut items,
         options.schedule,
         group_linear(group, cfg.groups()),
         |item| run_item(&mut world, item),
     )?;
-    *barrier_intervals = (*barrier_intervals).max(released);
 
     for item in &mut items {
         *total_steps += item.steps;

@@ -446,37 +446,6 @@ mod launch;
 mod stmts;
 mod structure;
 
-/// A seeded source of kernels: the *generator* half of the
-/// generator → mutator → feedback decomposition.
-///
-/// Both the paper-faithful grammar sampler ([`Generator`]) and the mutation
-/// chains built on top of it (`clsmith::mutator::MutationChain`) implement
-/// this trait, so campaign drivers can be written against "a deterministic
-/// stream of programs" without caring whether the stream is blind sampling
-/// or feedback-guided mutation.
-pub trait KernelSource {
-    /// Short human-readable description, used in reports and descriptors.
-    fn describe(&self) -> String;
-
-    /// Produces the next program of the stream.
-    ///
-    /// Deterministic: two sources constructed with identical options (and
-    /// seed) yield identical program sequences.
-    fn next_program(&mut self) -> Program;
-}
-
-impl KernelSource for Generator {
-    fn describe(&self) -> String {
-        format!("gen:{}:{}", self.opts.mode.name(), self.opts.seed)
-    }
-
-    fn next_program(&mut self) -> Program {
-        let program = Generator::new(self.opts.clone()).generate();
-        self.opts.seed = self.opts.seed.wrapping_add(1);
-        program
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

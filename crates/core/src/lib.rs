@@ -31,16 +31,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod emi;
-pub mod feedback;
 pub mod generator;
-pub mod mutator;
 pub mod options;
 pub mod rng;
 
 pub use emi::{all_emi_blocks_dead, inject_emi_blocks, prune_variant, InjectionOptions};
-pub use feedback::{coverage_hash, CoverageClass, CoverageMap};
-pub use generator::{generate, Generator, KernelSource};
-pub use mutator::{mutate, Mutation, MutationChain, MutationKind};
+pub use generator::{generate, Generator};
 pub use options::{EmiOptions, GenMode, GeneratorOptions, PruneProbabilities};
 pub use rng::{job_seed, Rng};
 

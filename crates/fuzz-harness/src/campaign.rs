@@ -130,6 +130,18 @@ pub(crate) fn stats_row_from_token(token: &str) -> Result<Vec<TargetStats>, Jour
     token.split(';').map(TargetStats::from_token).collect()
 }
 
+/// Checks that job `g`'s journaled row holds one entry per target column —
+/// the shape the tallies' `record` functions assert.
+pub(crate) fn check_row<T>(g: u64, row: &[T], columns: usize) -> Result<(), JournalError> {
+    if row.len() != columns {
+        return Err(JournalError::Format(format!(
+            "job {g} has {} verdict(s) for {columns} target(s)",
+            row.len()
+        )));
+    }
+    Ok(())
+}
+
 pub(crate) fn merge_stats_rows(into: &mut [TargetStats], from: &[TargetStats]) {
     assert_eq!(
         into.len(),
@@ -646,8 +658,20 @@ impl Campaign for ModesCampaign {
         MultiModeTally::new(self.modes.len(), self.targets.len())
     }
 
-    fn fold(&self, tally: &mut MultiModeTally, g: u64, verdicts: Vec<Verdict>) {
-        tally.per_mode[(g / self.options.kernels as u64) as usize].record(&verdicts);
+    fn fold(
+        &self,
+        tally: &mut MultiModeTally,
+        g: u64,
+        verdicts: Vec<Verdict>,
+    ) -> Result<(), JournalError> {
+        check_row(g, &verdicts, self.targets.len())?;
+        let mode = (g / self.options.kernels as u64) as usize;
+        tally
+            .per_mode
+            .get_mut(mode)
+            .ok_or_else(|| JournalError::Format(format!("job {g} lies past the job space")))?
+            .record(&verdicts);
+        Ok(())
     }
 }
 
@@ -1003,8 +1027,15 @@ impl Campaign for ClassificationCampaign {
         ClassificationTally::new(self.targets.len() / OptLevel::BOTH.len())
     }
 
-    fn fold(&self, tally: &mut ClassificationTally, _: u64, verdicts: Vec<Verdict>) {
+    fn fold(
+        &self,
+        tally: &mut ClassificationTally,
+        g: u64,
+        verdicts: Vec<Verdict>,
+    ) -> Result<(), JournalError> {
+        check_row(g, &verdicts, self.targets.len())?;
         tally.record(&verdicts);
+        Ok(())
     }
 }
 

@@ -86,7 +86,7 @@ pub fn run_on_targets(
 }
 
 /// [`run_on_targets`] over an existing session — used when the caller wants
-/// to read the session's coverage or cache counters afterwards.
+/// to read the session's analysis or cache counters afterwards.
 pub fn run_on_targets_session(
     session: &Session<'_>,
     targets: &[TestTarget],

@@ -9,7 +9,7 @@
 //! terminating variants indicates a miscompilation — no cross-configuration
 //! comparison is needed, which is the selling point of EMI testing (§3.2).
 
-use crate::campaign::CampaignOptions;
+use crate::campaign::{check_row, CampaignOptions};
 use crate::exec::{job_seed, PipelineMetrics, Scheduler, StagedJob};
 use crate::journal::{checksum, JournalError};
 use crate::shard::{
@@ -664,8 +664,15 @@ impl Campaign for EmiCampaign {
         EmiTally::new(self.configs.len() * OptLevel::BOTH.len())
     }
 
-    fn fold(&self, tally: &mut EmiTally, _: u64, judgements: Vec<BaseJudgement>) {
+    fn fold(
+        &self,
+        tally: &mut EmiTally,
+        g: u64,
+        judgements: Vec<BaseJudgement>,
+    ) -> Result<(), JournalError> {
+        check_row(g, &judgements, tally.per_target.len())?;
         tally.record(&judgements);
+        Ok(())
     }
 }
 

@@ -353,7 +353,8 @@ impl LoadedJournal {
 /// records before the tear.
 ///
 /// Returns `Format` if the header itself is missing or invalid — an empty
-/// or headerless file is not a journal.
+/// or headerless file is not a journal — or if a valid record names a job
+/// outside the header's `[start, end)` range.
 pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let mut file = File::open(path)?;
     let mut raw = Vec::new();
@@ -388,7 +389,18 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
                     None => break,
                 }
             }
-            Some(_) => match JournalRecord::parse(line) {
+            Some(h) => match JournalRecord::parse(line) {
+                // A checksummed record outside the header's range is not a
+                // torn tail but a journal that contradicts itself.
+                Some(r) if !(h.range.0..h.range.1).contains(&r.job_index) => {
+                    return Err(JournalError::Format(format!(
+                        "{} holds job {} outside its range {}..{}",
+                        path.display(),
+                        r.job_index,
+                        h.range.0,
+                        h.range.1
+                    )));
+                }
                 Some(r) => records.push(r),
                 None => break,
             },

@@ -14,10 +14,6 @@
 //!   pruning variants (Table 5, §7.4);
 //! * [`benchmark_emi`] — EMI testing of existing kernels such as the
 //!   Parboil/Rodinia miniatures (Table 3, §7.2);
-//! * [`corpus`] — feedback-guided corpus campaigns: lineages of seeded
-//!   mutation chains whose acceptance is driven by the platform's
-//!   [`opencl_sim::CoverageMap`], compared against a blind ablation at the
-//!   same kernel budget;
 //! * [`report`] — plain-text table rendering used by the reproduction
 //!   binaries in the `bench` crate;
 //! * [`exec`] — the parallel campaign engine every driver above runs on: a
@@ -42,7 +38,6 @@
 
 pub mod benchmark_emi;
 pub mod campaign;
-pub mod corpus;
 pub mod differential;
 pub mod emi_campaign;
 pub mod exec;
@@ -64,12 +59,6 @@ pub use campaign::{
     ClassificationCampaign, ClassificationTally, GeneratedKernel, KernelJob, ModeTally,
     ModesCampaign, MultiModeTally, ReliabilityRow, ShardedClassification, ShardedModeCampaign,
     TargetStats, RELIABILITY_THRESHOLD,
-};
-pub use corpus::{
-    corpus_campaign_descriptor, merge_corpus_campaign_journals, run_corpus_campaign,
-    run_corpus_campaign_sharded, run_corpus_campaign_with, CorpusCampaign, CorpusCampaignResult,
-    CorpusJob, CorpusOptions, CorpusRecord, CorpusStrategy, CorpusTally, ShardedCorpusCampaign,
-    StrategyTally,
 };
 pub use differential::{
     classify, differential_test, run_on_targets, run_on_targets_session, targets_for, TestTarget,
@@ -97,8 +86,8 @@ pub use journal::{
 };
 pub use opencl_sim::ExecutionTier;
 pub use report::{
-    percent, render_campaign_table, render_corpus_table, render_emi_table,
-    render_reliability_table, render_table, EMPTY_CELL,
+    percent, render_campaign_table, render_emi_table, render_reliability_table, render_table,
+    EMPTY_CELL,
 };
 pub use shard::{
     lease_header, merge_journals, run_lease, run_range_fold, run_shard, Campaign, CheckpointPolicy,

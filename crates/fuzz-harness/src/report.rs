@@ -15,7 +15,6 @@
 //! table is readable at a glance.
 
 use crate::campaign::{CampaignResult, ReliabilityRow};
-use crate::corpus::{CorpusCampaignResult, CorpusStrategy};
 use crate::emi_campaign::EmiCampaignResult;
 
 /// What a cell with no tallied data renders as in partial tables.
@@ -173,49 +172,6 @@ pub fn render_emi_table(result: &EmiCampaignResult) -> String {
             row.push(value.to_string());
         }
         rows.push(row);
-    }
-    render_table(&headers, &rows)
-}
-
-/// Renders the guided-vs-blind comparison of a corpus campaign: kernel
-/// budget, bug yield, coverage saturation and mutation acceptance, one
-/// column per [`CorpusStrategy`].
-///
-/// Streaming-aware: a strategy that no tallied lineage has reached yet
-/// (kernels 0 — e.g. a table refolded from a journal prefix covering only
-/// one strategy's job slice) renders as [`EMPTY_CELL`] down its column.
-pub fn render_corpus_table(result: &CorpusCampaignResult) -> String {
-    let headers: Vec<String> = std::iter::once(String::new())
-        .chain(CorpusStrategy::ALL.iter().map(|s| s.name().to_string()))
-        .collect();
-    let mut rows: Vec<Vec<String>> = vec![
-        vec!["lineages".to_string()],
-        vec!["kernels".to_string()],
-        vec!["bugs".to_string()],
-        vec!["bugs/kernel".to_string()],
-        vec!["coverage bits".to_string()],
-        vec!["saturation %".to_string()],
-        vec!["accepted".to_string()],
-        vec!["rejected".to_string()],
-        vec!["acceptance %".to_string()],
-    ];
-    for strategy in CorpusStrategy::ALL {
-        let tally = result.tally.strategy(strategy);
-        if tally.kernels() == 0 {
-            for row in &mut rows {
-                row.push(EMPTY_CELL.to_string());
-            }
-            continue;
-        }
-        rows[0].push(tally.lineages.to_string());
-        rows[1].push(tally.kernels().to_string());
-        rows[2].push(tally.bugs().to_string());
-        rows[3].push(format!("{:.3}", tally.bugs_per_kernel()));
-        rows[4].push(tally.coverage.count().to_string());
-        rows[5].push(percent(tally.saturation() * 100.0));
-        rows[6].push(tally.accepted.to_string());
-        rows[7].push(tally.rejected.to_string());
-        rows[8].push(percent(tally.acceptance_rate() * 100.0));
     }
     render_table(&headers, &rows)
 }

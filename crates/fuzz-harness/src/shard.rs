@@ -245,11 +245,12 @@ fn validate_header(
 /// One table's campaign: a seeded job index space, the [`StagedJob`] each
 /// index runs, and the [`Mergeable`] tally the job outputs fold into.
 ///
-/// Every driver in this crate implements it (classification, mode, EMI and
-/// corpus campaigns), and [`run_shard`], [`run_lease`] and
-/// [`merge_journals`] are the only executors and refolds over it: a shard,
-/// a fleet lease and a `merge` of any journal subset all fold the same
-/// records through [`Campaign::fold`], so they render identical tables.
+/// Every driver in this crate implements it (classification, mode and EMI
+/// campaigns, plus the Table 3 cell grid in the `table3` binary), and
+/// [`run_shard`], [`run_lease`] and [`merge_journals`] are the only
+/// executors and refolds over it: a shard, a fleet lease and a `merge` of
+/// any journal subset all fold the same records through
+/// [`Campaign::fold`], so they render identical tables.
 pub trait Campaign: Sized {
     /// The job one index of the space runs.
     type Job: StagedJob<Output = Self::Record>;
@@ -278,8 +279,16 @@ pub trait Campaign: Sized {
     fn job(&self, g: u64) -> (u64, Self::Job);
     /// An empty tally.
     fn tally(&self) -> Self::Tally;
-    /// Folds job `g`'s record into `tally`.
-    fn fold(&self, tally: &mut Self::Tally, g: u64, record: Self::Record);
+    /// Folds job `g`'s record into `tally`.  Journaled records are
+    /// checksummed, not trusted: a record that does not fit the campaign's
+    /// shape (a row of the wrong length, an index past the job space) is a
+    /// [`JournalError::Format`], never a panic.
+    fn fold(
+        &self,
+        tally: &mut Self::Tally,
+        g: u64,
+        record: Self::Record,
+    ) -> Result<(), JournalError>;
 }
 
 /// Runs shard `select` of a campaign (the whole space under
@@ -419,20 +428,11 @@ pub fn run_range_fold<C: Campaign>(
                 jobs_resumed += cp.jobs;
             }
             for record in loaded.records {
-                if !range.contains(&record.job_index) {
-                    return Err(JournalError::Mismatch(format!(
-                        "{} contains job {} outside range {}..{}",
-                        options.path.display(),
-                        record.job_index,
-                        range.start,
-                        range.end
-                    )));
-                }
                 staged.insert(record.job_index, C::Record::decode(&record.payload)?);
                 jobs_resumed += 1;
             }
             while let Some(record) = staged.remove(&watermark) {
-                campaign.fold(&mut aggregate, watermark, record);
+                campaign.fold(&mut aggregate, watermark, record)?;
                 watermark += 1;
             }
         }
@@ -474,19 +474,18 @@ pub fn run_range_fold<C: Campaign>(
         if let Some(writer) = &writer {
             writer.record(JournalRecord::new(index, seed, token.clone()));
         }
-        match C::Record::decode(&token) {
-            Ok(decoded) => {
-                staged.insert(index, decoded);
+        let folded = C::Record::decode(&token).and_then(|decoded| {
+            staged.insert(index, decoded);
+            while let Some(next) = staged.remove(&watermark) {
+                campaign.fold(&mut aggregate, watermark, next)?;
+                watermark += 1;
+                since_checkpoint += 1;
             }
-            Err(e) => {
-                fold_error = Some(e);
-                return;
-            }
-        }
-        while let Some(next) = staged.remove(&watermark) {
-            campaign.fold(&mut aggregate, watermark, next);
-            watermark += 1;
-            since_checkpoint += 1;
+            Ok(())
+        });
+        if let Err(e) = folded {
+            fold_error = Some(e);
+            return;
         }
         if let (Some(policy), Some(writer)) = (&checkpoint, &writer) {
             if since_checkpoint >= policy.every.max(1) && watermark > checkpointed_upto {
@@ -668,7 +667,7 @@ pub fn merge_journals<C: Campaign>(
     }
     jobs_folded += records.len() as u64;
     for (index, record) in records {
-        campaign.fold(&mut tally, index, C::Record::decode(&record.payload)?);
+        campaign.fold(&mut tally, index, C::Record::decode(&record.payload)?)?;
     }
     let summary = RefoldSummary {
         complete: jobs_folded == header.total_jobs,
@@ -851,9 +850,10 @@ mod tests {
         fn tally(&self) -> Folded {
             Folded::default()
         }
-        fn fold(&self, tally: &mut Folded, g: u64, record: u64) {
+        fn fold(&self, tally: &mut Folded, g: u64, record: u64) -> Result<(), JournalError> {
             assert_eq!(record, 2 * g, "record folded under the wrong index");
             tally.0.push(record);
+            Ok(())
         }
     }
 

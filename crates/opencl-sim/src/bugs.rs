@@ -98,26 +98,6 @@ pub enum Miscompilation {
     PerturbLiteral(u64),
 }
 
-impl Miscompilation {
-    /// Stable coverage bit for this transform (declaration order), used by
-    /// the feedback layer's miscompilation word.  Every `PerturbLiteral`
-    /// shares one bit: the salt selects *where* the flake lands, not a
-    /// distinct bug.
-    pub fn coverage_bit(&self) -> u32 {
-        match self {
-            Miscompilation::ZeroSecondFieldOfCharWiderStructInit => 0,
-            Miscompilation::DropWholeStructAssignments => 1,
-            Miscompilation::UnionInitializerGarbage => 2,
-            Miscompilation::FoldRotateByZeroToAllOnes => 3,
-            Miscompilation::DropPointerWritesInCallees => 4,
-            Miscompilation::CommaYieldsLhs => 5,
-            Miscompilation::GroupIdComparisonsFoldToFalse => 6,
-            Miscompilation::SkipClampNearBarriers => 7,
-            Miscompilation::PerturbLiteral(_) => 8,
-        }
-    }
-}
-
 /// The observable effect of a triggered bug.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BugEffect {

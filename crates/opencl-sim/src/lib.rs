@@ -17,9 +17,8 @@
 //! * [`platform`] — the "online compile then execute" entry point returning
 //!   the [`TestOutcome`] a fuzzing harness observes;
 //! * [`store`] — the on-disk cross-campaign outcome store: a
-//!   content-addressed, checksummed, capped cache of execution outcomes and
-//!   their coverage, shared by sequential re-runs and concurrent shard
-//!   processes;
+//!   content-addressed, checksummed, capped cache of execution outcomes,
+//!   shared by sequential re-runs and concurrent shard processes;
 //! * [`figures`] — the bug-exhibiting kernels of Figures 1 and 2, used as
 //!   tests of the bug models and by the `figures` reproduction binary.
 //!
@@ -40,7 +39,6 @@ pub mod store;
 
 pub use bugs::{BugEffect, BugRule, Miscompilation, OptLevel, OptScope, Trigger};
 pub use clc_interp::ExecutionTier;
-pub use clsmith::{coverage_hash, CoverageClass, CoverageMap};
 pub use configs::{
     above_threshold_configurations, all_configurations, configuration, Configuration, DeviceType,
     OutcomeRates,

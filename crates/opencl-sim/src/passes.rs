@@ -26,36 +26,6 @@ pub fn optimize(program: &mut Program) {
     eliminate_dead_code(program);
 }
 
-/// Coverage bit (in the `Passes` class word) for constant folding.
-pub const PASS_BIT_CONSTANT_FOLD: u32 = 0;
-/// Coverage bit (in the `Passes` class word) for dead-code elimination.
-pub const PASS_BIT_DEAD_CODE: u32 = 1;
-/// Coverage bit (in the `Passes` class word) for trivial simplification.
-pub const PASS_BIT_SIMPLIFY: u32 = 2;
-
-/// Runs the same pipeline as [`optimize`] while recording which passes
-/// actually *changed* the program (detected by fingerprinting between
-/// stages).  Returns a bitmask over the `PASS_BIT_*` constants — the
-/// optimiser-pass word of the feedback layer's coverage map.  The final
-/// program is bit-identical to what [`optimize`] produces (pinned by a unit
-/// test below); only the fingerprint probes are extra.
-pub fn optimize_traced(program: &mut Program) -> u8 {
-    let mut bits = 0u8;
-    let mut stage = |program: &mut Program, pass: fn(&mut Program), bit: u32| {
-        let before = program.fingerprint();
-        pass(program);
-        if program.fingerprint() != before {
-            bits |= 1u8 << bit;
-        }
-    };
-    stage(program, constant_fold, PASS_BIT_CONSTANT_FOLD);
-    stage(program, eliminate_dead_code, PASS_BIT_DEAD_CODE);
-    stage(program, simplify, PASS_BIT_SIMPLIFY);
-    stage(program, constant_fold, PASS_BIT_CONSTANT_FOLD);
-    stage(program, eliminate_dead_code, PASS_BIT_DEAD_CODE);
-    bits
-}
-
 /// Folds operations whose operands are integer literals.
 pub fn constant_fold(program: &mut Program) {
     program.for_each_expr_mut(&mut fold_expr);
@@ -282,25 +252,6 @@ mod tests {
         p.buffers
             .push(BufferSpec::result("out", ScalarType::ULong, 4));
         p
-    }
-
-    #[test]
-    fn traced_pipeline_matches_optimize_and_reports_pass_bits() {
-        for seed in 0..8u64 {
-            let mut plain =
-                clsmith::generate(&clsmith::GeneratorOptions::new(clsmith::GenMode::All, seed));
-            let mut traced = plain.clone();
-            optimize(&mut plain);
-            let bits = optimize_traced(&mut traced);
-            assert_eq!(
-                plain.fingerprint(),
-                traced.fingerprint(),
-                "seed {seed}: traced pipeline diverged from optimize()"
-            );
-            // Generated programs always contain foldable arithmetic, so the
-            // constant-folding bit must light up.
-            assert_ne!(bits & (1 << PASS_BIT_CONSTANT_FOLD), 0, "seed {seed}");
-        }
     }
 
     #[test]

@@ -34,19 +34,18 @@
 //!
 //! A [`Session`] carries the per-kernel state the front end reuses across
 //! targets (detected [`Features`], the captured program hasher, the
-//! optimised AST, the static analysis) and folds the kernel's coverage; a
-//! fan-out over 42 targets typically collapses to a handful of real
-//! emulator launches.
+//! optimised AST, the static analysis); a fan-out over 42 targets
+//! typically collapses to a handful of real emulator launches.
 //!
 //! Executions are cached at two levels with one key, `(fingerprint, exec
-//! key)`, and one value, the launch's `(TestOutcome, CoverageMap)`: a
-//! **process-wide cache** (sharded, mutex-striped, bounded) that
-//! deduplicates within and across jobs and scheduler workers, and an
-//! optional **on-disk store** ([`OutcomeStore`]) that deduplicates across
-//! processes and campaigns.  Caching never changes results at either level
-//! — outcomes and coverage are deterministic in the key, and the
-//! `cache_equivalence` integration test pins campaign tables bit-identical
-//! with caching forced off and with the store cold or warm.
+//! key)`, and one value, the launch's [`TestOutcome`]: a **process-wide
+//! cache** (sharded, mutex-striped, bounded) that deduplicates within and
+//! across jobs and scheduler workers, and an optional **on-disk store**
+//! ([`OutcomeStore`]) that deduplicates across processes and campaigns.
+//! Caching never changes results at either level — outcomes are
+//! deterministic in the key, and the `cache_equivalence` integration test
+//! pins campaign tables bit-identical with caching forced off and with the
+//! store cold or warm.
 
 use crate::bugs::{apply_miscompilation, BugEffect, Miscompilation, OptLevel};
 use crate::configs::Configuration;
@@ -54,8 +53,7 @@ use crate::passes;
 use crate::store::OutcomeStore;
 use clc::{Features, Fingerprint, Program, ProgramHasher};
 use clc_analyze::AnalysisReport;
-use clc_interp::{ExecutionTier, LaunchOptions, LaunchResult, RuntimeError, Schedule};
-use clsmith::{coverage_hash, CoverageClass, CoverageMap};
+use clc_interp::{ExecutionTier, LaunchOptions, RuntimeError, Schedule};
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::collections::hash_map::DefaultHasher;
@@ -83,8 +81,8 @@ pub struct ExecOptions {
     /// On-disk cross-campaign outcome store consulted (and populated) after
     /// the process-wide cache misses (defaults to the `CLFUZZ_STORE` store,
     /// or `None` when unset).  Like the process-wide cache, the store never
-    /// changes results: outcomes and their coverage are deterministic in
-    /// `(fingerprint, exec key)`.
+    /// changes results: outcomes are deterministic in `(fingerprint, exec
+    /// key)`.
     pub store: Option<Arc<OutcomeStore>>,
     /// Whether [`Session`]s may serve executions of an already-executed
     /// compiled program from the process-wide cache and the store (on by
@@ -169,9 +167,6 @@ pub enum CompiledProgram<'s> {
     Decided {
         /// The decided outcome.
         outcome: TestOutcome,
-        /// Front-end coverage recorded while deciding it (rule hits and any
-        /// miscompilations collected before the deciding rule fired).
-        coverage: CoverageMap,
     },
     /// The kernel must run.  `program` borrows the session's (possibly
     /// optimised) AST when no target-specific transform applied, and is
@@ -182,11 +177,6 @@ pub enum CompiledProgram<'s> {
         program: Cow<'s, Program>,
         /// Structural fingerprint of that AST.
         fingerprint: Fingerprint,
-        /// Front-end coverage: bug-rule hits, optimiser passes that changed
-        /// the program, miscompilation transforms applied.  Recorded for
-        /// free on the deduplicated path — the front end runs per target
-        /// regardless of whether the launch is cached.
-        coverage: CoverageMap,
     },
 }
 
@@ -334,8 +324,7 @@ pub fn reset_process_race_stats() {
 // targets of one kernel, the variants of one EMI base, the jobs of one
 // campaign and every scheduler worker.  Lock-striping by fingerprint keeps
 // worker contention negligible, and a per-shard FIFO bound keeps the
-// footprint fixed.  Only plain data — the outcome and its coverage — is
-// cached.
+// footprint fixed.  Only plain data — the outcome — is cached.
 
 /// Number of lock stripes (must be a power of two).
 const SHARED_SHARDS: usize = 16;
@@ -345,7 +334,7 @@ const SHARED_SHARD_CAP: usize = 4096;
 
 #[derive(Default)]
 struct SharedShard {
-    outcomes: HashMap<(Fingerprint, u64), (TestOutcome, CoverageMap)>,
+    outcomes: HashMap<(Fingerprint, u64), TestOutcome>,
     order: VecDeque<(Fingerprint, u64)>,
 }
 
@@ -360,18 +349,18 @@ fn shared_shard(fingerprint: Fingerprint) -> &'static Mutex<SharedShard> {
     &shards[(fingerprint.0 as usize) & (SHARED_SHARDS - 1)]
 }
 
-fn shared_get(key: &(Fingerprint, u64)) -> Option<(TestOutcome, CoverageMap)> {
+fn shared_get(key: &(Fingerprint, u64)) -> Option<TestOutcome> {
     let shard = shared_shard(key.0)
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     shard.outcomes.get(key).cloned()
 }
 
-fn shared_put(key: (Fingerprint, u64), execution: (TestOutcome, CoverageMap)) {
+fn shared_put(key: (Fingerprint, u64), outcome: TestOutcome) {
     let mut shard = shared_shard(key.0)
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    if shard.outcomes.insert(key, execution).is_none() {
+    if shard.outcomes.insert(key, outcome).is_none() {
         shard.order.push_back(key);
         if shard.order.len() > SHARED_SHARD_CAP {
             if let Some(oldest) = shard.order.pop_front() {
@@ -412,9 +401,8 @@ pub struct Session<'p> {
     hasher: ProgramHasher,
     base_fingerprint: Fingerprint,
     features: OnceCell<Features>,
-    optimized: OnceCell<(Program, Fingerprint, u8)>,
+    optimized: OnceCell<(Program, Fingerprint)>,
     analysis: OnceCell<AnalysisReport>,
-    coverage: Cell<CoverageMap>,
     counters: [Cell<u64>; 4],
 }
 
@@ -430,7 +418,6 @@ impl<'p> Session<'p> {
             features: OnceCell::new(),
             optimized: OnceCell::new(),
             analysis: OnceCell::new(),
-            coverage: Cell::new(CoverageMap::new()),
             counters: Default::default(),
         }
     }
@@ -461,20 +448,6 @@ impl<'p> Session<'p> {
         cache_stats(|counter| self.counters[counter as usize].get())
     }
 
-    /// Coverage folded for this kernel across every target executed so far:
-    /// front-end rule/pass/miscompilation bits plus the dynamic bits of the
-    /// launches those targets resolved to.
-    pub fn coverage(&self) -> CoverageMap {
-        self.coverage.get()
-    }
-
-    /// Folds `coverage` into this kernel's map.
-    fn fold_coverage(&self, coverage: &CoverageMap) {
-        let mut folded = self.coverage.get();
-        folded.merge(coverage);
-        self.coverage.set(folded);
-    }
-
     /// Counts one event in this session and in the process-wide totals.
     fn bump(&self, counter: Counter) {
         let cell = &self.counters[counter as usize];
@@ -491,17 +464,16 @@ impl<'p> Session<'p> {
         (h % 1_000_000) as f64 / 1_000_000.0
     }
 
-    /// The passes-optimised AST, its fingerprint, and the `PASS_BIT_*` mask
-    /// of passes that changed the program (computed once and shared by
-    /// every optimising target).
-    fn optimized(&self) -> (&Program, Fingerprint, u8) {
-        let (program, fingerprint, pass_bits) = self.optimized.get_or_init(|| {
+    /// The passes-optimised AST and its fingerprint (computed once and
+    /// shared by every optimising target).
+    fn optimized(&self) -> (&Program, Fingerprint) {
+        let (program, fingerprint) = self.optimized.get_or_init(|| {
             let mut optimized = self.program.clone();
-            let pass_bits = passes::optimize_traced(&mut optimized);
+            passes::optimize(&mut optimized);
             let fingerprint = optimized.fingerprint();
-            (optimized, fingerprint, pass_bits)
+            (optimized, fingerprint)
         });
-        (program, *fingerprint, *pass_bits)
+        (program, *fingerprint)
     }
 
     /// The front-end phase: deterministic bug rules, background-rate rolls,
@@ -512,36 +484,28 @@ impl<'p> Session<'p> {
     /// AST with its fingerprint.
     pub fn compile(&self, config: &Configuration, opt: OptLevel) -> CompiledProgram<'_> {
         // --- Deterministic bug rules --------------------------------------
-        let mut coverage = CoverageMap::new();
         let mut miscompilations = Vec::new();
         for rule in &config.rules {
             if !rule.applies(self.features(), self.program, opt) {
                 continue;
             }
-            coverage.set_hash(CoverageClass::Rules, coverage_hash(rule.name));
             match &rule.effect {
                 BugEffect::BuildFailure(msg) => {
                     return CompiledProgram::Decided {
                         outcome: TestOutcome::BuildFailure(format!("{} [{}]", msg, rule.reference)),
-                        coverage,
                     }
                 }
                 BugEffect::CompileHang(_) => {
                     return CompiledProgram::Decided {
                         outcome: TestOutcome::Timeout,
-                        coverage,
                     }
                 }
                 BugEffect::RuntimeCrash(msg) => {
                     return CompiledProgram::Decided {
                         outcome: TestOutcome::Crash(format!("{} [{}]", msg, rule.reference)),
-                        coverage,
                     }
                 }
-                BugEffect::Miscompile(m) => {
-                    coverage.set(CoverageClass::Miscompiles, m.coverage_bit());
-                    miscompilations.push(*m);
-                }
+                BugEffect::Miscompile(m) => miscompilations.push(*m),
             }
         }
 
@@ -557,13 +521,11 @@ impl<'p> Session<'p> {
                 outcome: TestOutcome::BuildFailure(
                     "driver rejected the program (background rate)".into(),
                 ),
-                coverage,
             };
         }
         if self.chance(config, opt, "to") < rates.timeout {
             return CompiledProgram::Decided {
                 outcome: TestOutcome::Timeout,
-                coverage,
             };
         }
         let wrong_rate = rates.wrong_code
@@ -582,19 +544,12 @@ impl<'p> Session<'p> {
         if self.chance(config, opt, "crash") < crash_rate {
             return CompiledProgram::Decided {
                 outcome: TestOutcome::Crash("kernel execution crashed (background rate)".into()),
-                coverage,
             };
         }
 
         // --- Compilation --------------------------------------------------
         let (base, base_fingerprint) = if opt == OptLevel::Enabled && config.optimizes {
-            let (base, base_fingerprint, pass_bits) = self.optimized();
-            for bit in 0..8 {
-                if pass_bits & (1 << bit) != 0 {
-                    coverage.set(CoverageClass::Passes, bit);
-                }
-            }
-            (base, base_fingerprint)
+            self.optimized()
         } else {
             (self.program, self.base_fingerprint)
         };
@@ -602,7 +557,6 @@ impl<'p> Session<'p> {
             return CompiledProgram::Execute {
                 program: Cow::Borrowed(base),
                 fingerprint: base_fingerprint,
-                coverage,
             };
         }
         let mut compiled = base.clone();
@@ -611,15 +565,12 @@ impl<'p> Session<'p> {
         }
         if perturb {
             let salt = self.hasher.chain(&(config.id, "perturb"));
-            let perturbation = Miscompilation::PerturbLiteral(salt);
-            coverage.set(CoverageClass::Miscompiles, perturbation.coverage_bit());
-            apply_miscompilation(&mut compiled, perturbation);
+            apply_miscompilation(&mut compiled, Miscompilation::PerturbLiteral(salt));
         }
         let fingerprint = compiled.fingerprint();
         CompiledProgram::Execute {
             program: Cow::Owned(compiled),
             fingerprint,
-            coverage,
         }
     }
 
@@ -634,20 +585,13 @@ impl<'p> Session<'p> {
         exec: &ExecOptions,
     ) -> TestOutcome {
         self.bump(Counter::Requests);
-        let (outcome, mut coverage) = match self.compile(config, opt) {
-            CompiledProgram::Decided { outcome, coverage } => (outcome, coverage),
+        match self.compile(config, opt) {
+            CompiledProgram::Decided { outcome } => outcome,
             CompiledProgram::Execute {
                 program,
                 fingerprint,
-                coverage,
-            } => (self.run(&program, fingerprint, exec), coverage),
-        };
-        // The outcome *kind* is itself a coverage signal (a kernel that
-        // provokes its first build failure or crash is interesting), and it
-        // is available on every path — decided, cached or launched.
-        coverage.set(CoverageClass::Dynamic, outcome_kind_bit(&outcome));
-        self.fold_coverage(&coverage);
-        outcome
+            } => self.run(&program, fingerprint, exec),
+        }
     }
 
     /// Executes on the reference emulator with no configuration-specific
@@ -663,38 +607,28 @@ impl<'p> Session<'p> {
     /// Lookup order when `exec.memoize` is on: the process-wide cache, then
     /// the on-disk store (when one is configured), then a real launch.  A
     /// launch back-fills both levels and a store hit back-fills the
-    /// process-wide cache, each with the launch's `(outcome, coverage)`, so
-    /// a hit at either level replays exactly what the launch produced.
+    /// process-wide cache, so a hit at either level replays exactly the
+    /// launch's outcome.
     fn run(&self, program: &Program, fingerprint: Fingerprint, exec: &ExecOptions) -> TestOutcome {
         let key = (fingerprint, exec_key(exec));
-        let cached = if exec.memoize {
-            self.lookup(key, exec)
-        } else {
-            None
-        };
-        let (outcome, coverage) = cached.unwrap_or_else(|| {
-            self.bump(Counter::Launches);
-            let result = clc_interp::launch(program, &launch_options(exec));
-            let coverage = dynamic_coverage(&result);
-            let outcome = launch_outcome(result);
-            if exec.memoize {
-                shared_put(key, (outcome.clone(), coverage));
-                if let Some(store) = &exec.store {
-                    store.put(fingerprint, key.1, &outcome, &coverage);
-                }
+        if exec.memoize {
+            if let Some(hit) = self.lookup(key, exec) {
+                return hit;
             }
-            (outcome, coverage)
-        });
-        self.fold_coverage(&coverage);
+        }
+        self.bump(Counter::Launches);
+        let outcome = launch_outcome(clc_interp::launch(program, &launch_options(exec)));
+        if exec.memoize {
+            shared_put(key, outcome.clone());
+            if let Some(store) = &exec.store {
+                store.put(fingerprint, key.1, &outcome);
+            }
+        }
         outcome
     }
 
     /// Looks `key` up in the process-wide cache, then in the store.
-    fn lookup(
-        &self,
-        key: (Fingerprint, u64),
-        exec: &ExecOptions,
-    ) -> Option<(TestOutcome, CoverageMap)> {
+    fn lookup(&self, key: (Fingerprint, u64), exec: &ExecOptions) -> Option<TestOutcome> {
         if let Some(hit) = shared_get(&key) {
             self.bump(Counter::SharedHits);
             return Some(hit);
@@ -757,69 +691,6 @@ fn launch_outcome(result: Result<clc_interp::LaunchResult, RuntimeError>) -> Tes
         Err(RuntimeError::StepLimitExceeded { .. }) => TestOutcome::Timeout,
         Err(e) => TestOutcome::Crash(e.to_string()),
     }
-}
-
-/// The dynamic-class coverage bit for an outcome kind (bits 4..=7: ok, bf,
-/// crash, timeout).  Available on every path — decided, cached, launched.
-fn outcome_kind_bit(outcome: &TestOutcome) -> u32 {
-    match outcome.kind() {
-        "ok" => 4,
-        "bf" => 5,
-        "c" => 6,
-        _ => 7,
-    }
-}
-
-/// Maps one emulator launch onto the dynamic word of the coverage map —
-/// the thread-aware feedback bits (à la MUZZ) the blind campaign never saw.
-///
-/// Layout of the `Dynamic` class word:
-///
-/// * bit 0 — a data race was detected;
-/// * bit 1 — barrier divergence;
-/// * bit 2 — step-limit exhaustion;
-/// * bit 3 — any other runtime error;
-/// * bits 4..=7 — outcome kind (set in [`Session::execute`], not here);
-/// * bits 8..=15 — barrier-release depth bucket (`log2` of the deepest
-///   barrier ladder any work-group ran, saturated at 7);
-/// * bit 16 — non-synchronising helper-function barriers executed;
-/// * bits 32..=63 — race-*site* hash (object, offset, same-group), so two
-///   distinct racy sites light distinct bits.
-///
-/// Only tier-stable signals are used (`total_steps` and the race-detector
-/// work counters are tier- or schedule-specific and deliberately excluded),
-/// so both interpreter tiers produce identical maps.
-fn dynamic_coverage(result: &Result<LaunchResult, RuntimeError>) -> CoverageMap {
-    let mut map = CoverageMap::new();
-    match result {
-        Ok(result) => {
-            if let Some(race) = &result.race {
-                map.set(CoverageClass::Dynamic, 0);
-                map.set(CoverageClass::Dynamic, race_site_bit(race));
-            }
-            let depth = (64 - result.barrier_intervals.leading_zeros()).min(7);
-            map.set(CoverageClass::Dynamic, 8 + depth);
-            if result.soft_barriers > 0 {
-                map.set(CoverageClass::Dynamic, 16);
-            }
-        }
-        Err(RuntimeError::BarrierDivergence { .. }) => map.set(CoverageClass::Dynamic, 1),
-        Err(RuntimeError::StepLimitExceeded { .. }) => map.set(CoverageClass::Dynamic, 2),
-        Err(RuntimeError::DataRace(race)) => {
-            map.set(CoverageClass::Dynamic, 0);
-            map.set(CoverageClass::Dynamic, race_site_bit(race));
-        }
-        Err(_) => map.set(CoverageClass::Dynamic, 3),
-    }
-    map
-}
-
-/// One of the 32 race-site bits (32..=63) for a detected race, hashed from
-/// the site's stable identity (schedule-independent parts only: the object,
-/// offset and same-group flag, not the thread ids).
-fn race_site_bit(race: &clc_interp::RaceReport) -> u32 {
-    let site = format!("{}:{}:{}", race.object, race.offset, race.same_group);
-    32 + (coverage_hash(&site) % 32) as u32
 }
 
 /// Hash of every execution option that can change a launch outcome — the
@@ -1122,59 +993,6 @@ mod tests {
         // A repeat within the session is served from the same cache.
         assert_eq!(b.reference_execute(&exec), cold);
         assert_eq!(b.stats().shared_hits, 2);
-    }
-
-    #[test]
-    fn coverage_replays_identically_from_every_cache_level() {
-        let _guard = cache_lock();
-        let p = trivial_program(13);
-        let exec = ExecOptions {
-            store: None,
-            ..ExecOptions::default()
-        };
-        let fan_out = |exec: &ExecOptions| {
-            let session = Session::new(&p);
-            for config in all_configurations() {
-                for opt in OptLevel::BOTH {
-                    session.execute(&config, opt, exec);
-                }
-            }
-            session.coverage()
-        };
-        let cold = fan_out(&exec);
-        // The outcome-kind bit fires on every path, so the map is never
-        // empty; the trivial kernel must at least produce results.
-        assert!(cold.contains(CoverageClass::Dynamic, 4));
-        // A warm fan-out is served from the caches; the replayed coverage
-        // must be bit-identical to what the real launches produced.
-        assert_eq!(fan_out(&exec), cold);
-        // So must a fan-out with memoisation off (all real launches).
-        let unmemoised = ExecOptions {
-            memoize: false,
-            store: None,
-            ..ExecOptions::default()
-        };
-        assert_eq!(fan_out(&unmemoised), cold);
-        // And so must fan-outs through the on-disk store, process-cold each
-        // time: a cold store launches and records, a warm store replays the
-        // launches' coverage from disk.
-        let dir =
-            std::env::temp_dir().join(format!("clfuzz-platform-coverage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap());
-        let stored = ExecOptions {
-            store: Some(Arc::clone(&store)),
-            ..ExecOptions::default()
-        };
-        reset_shared_outcome_cache();
-        assert_eq!(fan_out(&stored), cold, "cold store");
-        reset_shared_outcome_cache();
-        assert_eq!(fan_out(&stored), cold, "warm store");
-        assert!(
-            store.stats().hits > 0,
-            "the warm fan-out must hit the store"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! process-wide cache in [`platform`](crate::platform) dies with the
 //! process; campaigns, reducer runs and repeated table regenerations would
 //! re-execute structurally identical kernels from scratch.  This module
-//! persists the same `(fingerprint, exec-option key)` →
-//! `(`[`TestOutcome`]`, `[`CoverageMap`]`)` mapping to a directory, so every
-//! process pointed at the same store — sequential re-runs or concurrent
-//! shard processes — shares one ever-growing cache, and a store hit replays
-//! the launch's coverage as well as its outcome.
+//! persists the same `(fingerprint, exec-option key)` → [`TestOutcome`]
+//! mapping to a directory, so every process pointed at the same store —
+//! sequential re-runs or concurrent shard processes — shares one
+//! ever-growing cache.
 //!
 //! ## Entry format
 //!
@@ -18,7 +17,7 @@
 //! by an exact-length payload:
 //!
 //! ```text
-//! CLFUZZ-STORE 2 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
+//! CLFUZZ-STORE 3 <fingerprint:016x> <key:016x> <payload-len> <digest:016x> <crc:016x>\n
 //! <payload-len bytes of payload>
 //! ```
 //!
@@ -29,9 +28,9 @@
 //! cache **miss**, never to a wrong outcome.
 //!
 //! The payload's first line is the outcome kind (plus the result hash for
-//! `ok`) followed by the launch's [`CoverageMap::token`]; the rest is the
-//! outcome's raw message or output text.  Version 1 entries carried no
-//! coverage; they fail validation and degrade to misses.
+//! `ok`); the rest is the outcome's raw message or output text.  Entries of
+//! earlier versions (version 2 also carried a coverage token) fail
+//! validation and degrade to misses.
 //!
 //! ## Concurrency
 //!
@@ -47,7 +46,6 @@
 use crate::platform::TestOutcome;
 use clc::Fingerprint;
 use clc_interp::fnv1a;
-use clsmith::CoverageMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,7 +94,7 @@ const READ_RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The store format tag; bumping the version invalidates (as misses) every
 /// existing entry.
-const FORMAT: &str = "CLFUZZ-STORE 2";
+const FORMAT: &str = "CLFUZZ-STORE 3";
 
 /// Default size cap (bytes) when `CLFUZZ_STORE_CAP` is unset.
 const DEFAULT_CAP: u64 = 256 * 1024 * 1024;
@@ -241,8 +239,8 @@ impl OutcomeStore {
             .join(format!("{:016x}-{key:016x}", fingerprint.0))
     }
 
-    /// Looks up an outcome and the coverage its launch produced,
-    /// distinguishing the three ways a lookup can come up empty:
+    /// Looks up an outcome, distinguishing the three ways a lookup can come
+    /// up empty:
     ///
     /// - the entry simply is not there (`NotFound`): a plain miss;
     /// - the read failed with any other I/O error: retried once after a
@@ -253,7 +251,7 @@ impl OutcomeStore {
     ///   version-mismatched, foreign — a miss counted under
     ///   `corrupt_entries`, and the file is deleted so it cannot consume
     ///   cap space forever.
-    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<(TestOutcome, CoverageMap)> {
+    pub fn get(&self, fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
         let path = self.entry_path(fingerprint, key);
         let bytes = match self.read_entry(&path) {
             Ok(bytes) => bytes,
@@ -268,13 +266,20 @@ impl OutcomeStore {
             }
         };
         match parse_entry(&bytes, fingerprint, key) {
-            Some(execution) => {
+            Some(outcome) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(execution)
+                Some(outcome)
             }
             None => {
                 self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
-                let _ = std::fs::remove_file(&path);
+                if std::fs::remove_file(&path).is_ok() {
+                    let freed = bytes.len() as u64;
+                    let _ =
+                        self.bytes
+                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |total| {
+                                Some(total.saturating_sub(freed))
+                            });
+                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -301,21 +306,14 @@ impl OutcomeStore {
         }
     }
 
-    /// Persists an outcome and its launch coverage (best effort: I/O errors
-    /// disable nothing and corrupt nothing — the entry is simply absent next
-    /// time).
-    pub fn put(
-        &self,
-        fingerprint: Fingerprint,
-        key: u64,
-        outcome: &TestOutcome,
-        coverage: &CoverageMap,
-    ) {
+    /// Persists an outcome (best effort: I/O errors disable nothing and
+    /// corrupt nothing — the entry is simply absent next time).
+    pub fn put(&self, fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) {
         if injected_fault(StoreOp::Write).is_some() {
             return;
         }
         let path = self.entry_path(fingerprint, key);
-        let bytes = render_entry(fingerprint, key, outcome, coverage);
+        let bytes = render_entry(fingerprint, key, outcome);
         let Some(parent) = path.parent() else { return };
         if std::fs::create_dir_all(parent).is_err() {
             return;
@@ -412,27 +410,25 @@ fn cap_from_env() -> u64 {
         .unwrap_or(DEFAULT_CAP)
 }
 
-/// Serialises an execution to the payload carried after the header line.
+/// Serialises an outcome to the payload carried after the header line.
 /// The first payload line is the outcome kind (plus the result hash for
-/// `ok`) and the coverage token; the rest is the raw message/output text,
-/// which may itself contain any bytes — the header's exact payload length
-/// makes escaping unnecessary.
-fn render_payload(outcome: &TestOutcome, coverage: &CoverageMap) -> Vec<u8> {
-    let coverage = coverage.token();
+/// `ok`); the rest is the raw message/output text, which may itself contain
+/// any bytes — the header's exact payload length makes escaping
+/// unnecessary.
+fn render_payload(outcome: &TestOutcome) -> Vec<u8> {
     let text = match outcome {
-        TestOutcome::Result { hash, output } => format!("ok {hash:016x} {coverage}\n{output}"),
-        TestOutcome::BuildFailure(msg) => format!("bf {coverage}\n{msg}"),
-        TestOutcome::Crash(msg) => format!("c {coverage}\n{msg}"),
-        TestOutcome::Timeout => format!("to {coverage}\n"),
+        TestOutcome::Result { hash, output } => format!("ok {hash:016x}\n{output}"),
+        TestOutcome::BuildFailure(msg) => format!("bf\n{msg}"),
+        TestOutcome::Crash(msg) => format!("c\n{msg}"),
+        TestOutcome::Timeout => "to\n".to_string(),
     };
     text.into_bytes()
 }
 
-fn parse_payload(payload: &[u8]) -> Option<(TestOutcome, CoverageMap)> {
+fn parse_payload(payload: &[u8]) -> Option<TestOutcome> {
     let text = std::str::from_utf8(payload).ok()?;
     let (head, rest) = text.split_once('\n')?;
-    let (kind, coverage) = head.rsplit_once(' ')?;
-    let outcome = match kind.split(' ').collect::<Vec<_>>().as_slice() {
+    let outcome = match head.split(' ').collect::<Vec<_>>().as_slice() {
         ["ok", hash] => TestOutcome::Result {
             hash: u64::from_str_radix(hash, 16).ok()?,
             output: rest.to_string(),
@@ -442,17 +438,12 @@ fn parse_payload(payload: &[u8]) -> Option<(TestOutcome, CoverageMap)> {
         ["to"] => TestOutcome::Timeout,
         _ => return None,
     };
-    Some((outcome, CoverageMap::parse(coverage)?))
+    Some(outcome)
 }
 
 /// Renders a complete self-checksummed entry file.
-fn render_entry(
-    fingerprint: Fingerprint,
-    key: u64,
-    outcome: &TestOutcome,
-    coverage: &CoverageMap,
-) -> Vec<u8> {
-    let payload = render_payload(outcome, coverage);
+fn render_entry(fingerprint: Fingerprint, key: u64, outcome: &TestOutcome) -> Vec<u8> {
+    let payload = render_payload(outcome);
     let digest = fnv1a(&payload);
     let prefix = format!(
         "{FORMAT} {:016x} {key:016x} {} {digest:016x}",
@@ -466,11 +457,7 @@ fn render_entry(
 }
 
 /// Parses and fully validates an entry file; `None` on any defect.
-fn parse_entry(
-    bytes: &[u8],
-    fingerprint: Fingerprint,
-    key: u64,
-) -> Option<(TestOutcome, CoverageMap)> {
+fn parse_entry(bytes: &[u8], fingerprint: Fingerprint, key: u64) -> Option<TestOutcome> {
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
     let payload = &bytes[newline + 1..];
@@ -505,16 +492,6 @@ fn parse_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clsmith::CoverageClass;
-
-    /// A coverage map with a few bits set in every class.
-    fn sample_coverage(seed: u32) -> CoverageMap {
-        let mut map = CoverageMap::new();
-        for (i, class) in CoverageClass::ALL.into_iter().enumerate() {
-            map.set(class, seed + 7 * i as u32);
-        }
-        map
-    }
 
     fn temp_store(name: &str) -> PathBuf {
         let dir =
@@ -540,9 +517,8 @@ mod tests {
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
             let fp = Fingerprint(0x1234 + i as u64);
             let key = 0x9999 + i as u64;
-            let coverage = sample_coverage(i as u32);
-            let bytes = render_entry(fp, key, &outcome, &coverage);
-            assert_eq!(parse_entry(&bytes, fp, key), Some((outcome, coverage)));
+            let bytes = render_entry(fp, key, &outcome);
+            assert_eq!(parse_entry(&bytes, fp, key), Some(outcome));
         }
     }
 
@@ -554,14 +530,13 @@ mod tests {
             hash: 42,
             output: "5,5,5".into(),
         };
-        let coverage = sample_coverage(3);
-        let bytes = render_entry(fp, key, &outcome, &coverage);
+        let bytes = render_entry(fp, key, &outcome);
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let parsed = parse_entry(&flipped, fp, key);
             assert!(
-                parsed.is_none() || parsed == Some((outcome.clone(), coverage)),
+                parsed.is_none() || parsed.as_ref() == Some(&outcome),
                 "bit flip {bit} produced a different outcome"
             );
             // Strictly: flips inside checksummed regions must be misses.
@@ -580,12 +555,13 @@ mod tests {
     fn wrong_key_wrong_fingerprint_and_wrong_version_are_misses() {
         let fp = Fingerprint(0xAB);
         let key = 7;
-        let bytes = render_entry(fp, key, &TestOutcome::Timeout, &CoverageMap::new());
+        let bytes = render_entry(fp, key, &TestOutcome::Timeout);
         assert_eq!(parse_entry(&bytes, Fingerprint(0xAC), key), None);
         assert_eq!(parse_entry(&bytes, fp, 8), None);
         // Another version invalidates entries even with a valid crc and
-        // digest: a version-1 entry (outcome only, no coverage) and a
-        // future version-3 entry are both misses.
+        // digest: a version-1 entry, a version-2 entry (whose payload also
+        // carried a coverage token) and a future version-4 entry are all
+        // misses.
         let entry = |version: &str, payload: &[u8]| {
             let prefix = format!(
                 "CLFUZZ-STORE {version} {:016x} {key:016x} {} {:016x}",
@@ -598,15 +574,40 @@ mod tests {
             bytes.extend_from_slice(payload);
             bytes
         };
+        let v2 = entry("2", V2_TIMEOUT_PAYLOAD);
+        let payload = render_payload(&TestOutcome::Timeout);
         assert_eq!(parse_entry(&entry("1", b"to\n"), fp, key), None);
-        let v2_payload = render_payload(&TestOutcome::Timeout, &CoverageMap::new());
-        assert_eq!(parse_entry(&entry("3", &v2_payload), fp, key), None);
+        assert_eq!(parse_entry(&v2, fp, key), None);
+        assert_eq!(parse_entry(&entry("4", &payload), fp, key), None);
         assert_eq!(
-            parse_entry(&entry("2", &v2_payload), fp, key),
-            Some((TestOutcome::Timeout, CoverageMap::new())),
+            parse_entry(&entry("3", &payload), fp, key),
+            Some(TestOutcome::Timeout),
             "the helper must build valid entries at the current version"
         );
+        // On disk, a version-2 entry left by an earlier build is a corrupt
+        // miss: it is deleted and its bytes leave the store's size; a fresh
+        // put then hits.
+        let dir = temp_store("v2");
+        let path = OutcomeStore::open_with_cap(&dir, u64::MAX)
+            .unwrap()
+            .entry_path(fp, key);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &v2).unwrap();
+        let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
+        assert_eq!(store.stats().bytes, v2.len() as u64);
+        assert_eq!(store.get(fp, key), None);
+        assert_eq!(store.stats().corrupt_entries, 1);
+        assert_eq!(store.stats().bytes, 0);
+        assert!(!path.exists(), "the stale entry is deleted");
+        store.put(fp, key, &TestOutcome::Timeout);
+        assert_eq!(store.get(fp, key), Some(TestOutcome::Timeout));
+        let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// The payload of a version-2 timeout entry: the outcome kind followed
+    /// by the coverage token that version carried.
+    const V2_TIMEOUT_PAYLOAD: &[u8] =
+        b"to 0000000000000000.0000000000000000.0000000000000000.0000000000000080\n";
 
     #[test]
     fn store_roundtrips_and_counts() {
@@ -615,9 +616,8 @@ mod tests {
         let fp = Fingerprint(0xF00);
         assert_eq!(store.get(fp, 1), None);
         for (i, outcome) in sample_outcomes().into_iter().enumerate() {
-            let coverage = sample_coverage(i as u32);
-            store.put(fp, i as u64, &outcome, &coverage);
-            assert_eq!(store.get(fp, i as u64), Some((outcome, coverage)));
+            store.put(fp, i as u64, &outcome);
+            assert_eq!(store.get(fp, i as u64), Some(outcome));
         }
         let stats = store.stats();
         assert_eq!(stats.hits, 4);
@@ -637,7 +637,7 @@ mod tests {
         let dir = temp_store("corrupt");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xC0);
-        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
+        store.put(fp, 0, &TestOutcome::Timeout);
         let path = store.entry_path(fp, 0);
         // Bit-flip the file in place.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -647,12 +647,7 @@ mod tests {
         assert_eq!(store.get(fp, 0), None);
         assert!(!path.exists(), "corrupt entry should be deleted");
         // Truncated file: also a miss.
-        store.put(
-            fp,
-            1,
-            &TestOutcome::Crash("boom".into()),
-            &CoverageMap::new(),
-        );
+        store.put(fp, 1, &TestOutcome::Crash("boom".into()));
         let path = store.entry_path(fp, 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
@@ -671,7 +666,7 @@ mod tests {
         assert_eq!(store.stats().transient_errors, 0);
         // Corrupt entry: counted once, deleted, and the follow-up lookup is
         // a plain miss again.
-        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
+        store.put(fp, 0, &TestOutcome::Timeout);
         let path = store.entry_path(fp, 0);
         std::fs::write(&path, b"not a store entry").unwrap();
         assert_eq!(store.get(fp, 0), None);
@@ -712,12 +707,9 @@ mod tests {
         let dir = temp_store("transient-recover");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEE);
-        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
+        store.put(fp, 0, &TestOutcome::Timeout);
         fail_next_on_this_thread(StoreOp::Read, 1);
-        assert_eq!(
-            store.get(fp, 0),
-            Some((TestOutcome::Timeout, CoverageMap::new()))
-        );
+        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
         set_io_fault_hook(None);
         let stats = store.stats();
         assert_eq!(stats.hits, 1);
@@ -731,7 +723,7 @@ mod tests {
         let dir = temp_store("transient-exhaust");
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xEF);
-        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
+        store.put(fp, 0, &TestOutcome::Timeout);
         fail_next_on_this_thread(StoreOp::Read, 2);
         assert_eq!(store.get(fp, 0), None, "both attempts failed");
         set_io_fault_hook(None);
@@ -743,10 +735,7 @@ mod tests {
             "transient failure must not delete the entry"
         );
         // With the fault gone, the same lookup hits.
-        assert_eq!(
-            store.get(fp, 0),
-            Some((TestOutcome::Timeout, CoverageMap::new()))
-        );
+        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -757,31 +746,23 @@ mod tests {
         let store = OutcomeStore::open_with_cap(&dir, u64::MAX).unwrap();
         let fp = Fingerprint(0xF0);
         fail_next_on_this_thread(StoreOp::Write, 1);
-        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
+        store.put(fp, 0, &TestOutcome::Timeout);
         set_io_fault_hook(None);
         assert_eq!(store.stats().writes, 0);
         assert_eq!(store.get(fp, 0), None, "faulted put published nothing");
         // The next put goes through.
-        store.put(fp, 0, &TestOutcome::Timeout, &CoverageMap::new());
-        assert_eq!(
-            store.get(fp, 0),
-            Some((TestOutcome::Timeout, CoverageMap::new()))
-        );
+        store.put(fp, 0, &TestOutcome::Timeout);
+        assert_eq!(store.get(fp, 0), Some(TestOutcome::Timeout));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eviction_keeps_the_store_under_its_cap() {
         let dir = temp_store("evict");
-        // A tiny cap: every entry is ~130 bytes, so 2 writes must evict.
+        // A tiny cap: every entry is ~90 bytes, so 2 writes must evict.
         let store = OutcomeStore::open_with_cap(&dir, 150).unwrap();
         for i in 0..8u64 {
-            store.put(
-                Fingerprint(i << 56 | i),
-                i,
-                &TestOutcome::Timeout,
-                &CoverageMap::new(),
-            );
+            store.put(Fingerprint(i << 56 | i), i, &TestOutcome::Timeout);
         }
         let stats = store.stats();
         assert!(stats.evictions > 0, "cap 150 must force evictions");

@@ -4,14 +4,12 @@
 //! (a cold launch per target) and with it on, and the rendered tables must
 //! be **bit-identical** — and the same holds for the on-disk outcome store:
 //! store off, cold store and warm store must render identical tables on
-//! both interpreter tiers, including the coverage-guided corpus table,
-//! whose acceptance decisions read the coverage the store replays.
+//! both interpreter tiers.
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::{
-    classify_configurations_with, render_campaign_table, render_corpus_table, render_emi_table,
-    run_corpus_campaign_with, run_emi_campaign_with, run_mode_campaign_with, CampaignOptions,
-    CorpusOptions, EmiCampaignOptions, Scheduler,
+    classify_configurations_with, render_campaign_table, render_emi_table, run_emi_campaign_with,
+    run_mode_campaign_with, CampaignOptions, EmiCampaignOptions, Scheduler,
 };
 use opencl_sim::{ExecOptions, ExecutionTier, OutcomeStore};
 use std::path::{Path, PathBuf};
@@ -178,39 +176,6 @@ fn tables_are_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
             ))
         };
         assert_store_never_changes_the_table(tier.name(), &dir, run);
-    }
-}
-
-#[test]
-fn corpus_table_is_bit_identical_with_store_off_cold_and_warm_on_both_tiers() {
-    let _guard = cache_lock();
-    let configs = vec![
-        opencl_sim::configuration(1),
-        opencl_sim::configuration(9),
-        opencl_sim::configuration(19),
-    ];
-    let scheduler = Scheduler::sequential();
-    for tier in ExecutionTier::ALL {
-        let dir = store_dir(&format!("corpus-{}", tier.name()));
-        let run = |store: Option<Arc<OutcomeStore>>| {
-            let options = CorpusOptions {
-                lineages: 3,
-                chain: 3,
-                generator: GeneratorOptions {
-                    min_threads: 16,
-                    max_threads: 48,
-                    ..GeneratorOptions::default()
-                },
-                exec: ExecOptions {
-                    tier,
-                    store,
-                    ..ExecOptions::default()
-                },
-                seed_offset: 0xC0DE,
-            };
-            render_corpus_table(&run_corpus_campaign_with(&scheduler, &configs, &options))
-        };
-        assert_store_never_changes_the_table(&format!("corpus {}", tier.name()), &dir, run);
     }
 }
 

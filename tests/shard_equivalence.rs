@@ -8,16 +8,19 @@
 //!   drops)
 //!
 //! all produce **byte-identical** rendered Table 1 / Table 4 / Table 5
-//! output — at every worker count.
+//! output — at every worker count.  Journals whose records pass every
+//! checksum but contradict their header or campaign (a job outside the
+//! range, a verdict row of the wrong length) are typed format errors on
+//! merge and resume, never a panic or a "complete" table over a missing job.
 
 use clsmith::{GenMode, GeneratorOptions};
 use fuzz_harness::shard::{JournalOptions, Mergeable, ShardSelect};
 use fuzz_harness::{
-    classify_configurations_sharded, classify_configurations_with, load_journal,
+    checksum, classify_configurations_sharded, classify_configurations_with, load_journal,
     merge_classification_journals, merge_emi_campaign_journals, merge_mode_campaign_journals,
     render_campaign_table, render_emi_table, render_reliability_table, run_emi_campaign_sharded,
     run_emi_campaign_with, run_mode_campaign_with, run_modes_campaign_sharded, CampaignOptions,
-    EmiCampaignOptions, EmiTally, MultiModeTally, Scheduler,
+    EmiCampaignOptions, EmiTally, JournalError, MultiModeTally, Scheduler,
 };
 use opencl_sim::{ExecOptions, OutcomeStore};
 use std::path::PathBuf;
@@ -53,6 +56,33 @@ fn kill_after(path: &PathBuf, records: usize) {
     bytes.truncate(keep);
     bytes.extend_from_slice(b"R 999 deadbeef");
     std::fs::write(path, bytes).expect("rewrite truncated journal");
+}
+
+/// Writes `path` to `out` with every line's fields passed through `alter`
+/// and re-checksummed — record digest and line checksum both — so the
+/// crafted journal is valid line by line.
+fn craft(path: &PathBuf, out: &PathBuf, alter: impl Fn(&mut Vec<String>)) {
+    let text = std::fs::read_to_string(path).expect("journal exists");
+    let mut crafted = String::new();
+    for line in text.lines() {
+        let (body, _) = line.rsplit_once(' ').expect("checksummed line");
+        let mut fields: Vec<String> = body.split(' ').map(String::from).collect();
+        alter(&mut fields);
+        if fields[0] == "R" {
+            fields[3] = format!("{:016x}", checksum(fields[4].as_bytes()));
+        }
+        let body = fields.join(" ");
+        crafted.push_str(&format!("{body} {:016x}\n", checksum(body.as_bytes())));
+    }
+    assert_ne!(crafted, text, "nothing was crafted");
+    std::fs::write(out, crafted).expect("write crafted journal");
+}
+
+/// Moves job `from`'s record to job 1,000,000, far past the job space.
+fn move_job(fields: &mut [String], from: &str) {
+    if fields[0] == "R" && fields[1] == from {
+        fields[1] = "1000000".into();
+    }
 }
 
 fn campaign_options(seed_offset: u64) -> CampaignOptions {
@@ -170,7 +200,34 @@ fn table4_single_sharded_and_resumed_runs_are_byte_identical() {
                 .expect("healed merge");
         assert!(summary.complete);
         assert_eq!(render_campaign_table(&healed[0]), reference);
-        paths.push(journal);
+
+        // A record moved past the job space: a typed error on merge and
+        // on resume — and on merge even when the header's job space and
+        // range are stretched to cover it.
+        let crafted = temp_path(&format!("t4-{workers}-far"));
+        let stretched = temp_path(&format!("t4-{workers}-stretched"));
+        craft(&journal, &crafted, |f| move_job(f, "0"));
+        craft(&journal, &stretched, |f| {
+            if f[0] == "CLFUZZ-JOURNAL" {
+                f[4] = "1000001".into();
+                f[6] = "0-1000001".into();
+            }
+            move_job(f, "0");
+        });
+        for path in [&crafted, &stretched] {
+            let merged = merge_mode_campaign_journals(std::slice::from_ref(path), &configs);
+            assert!(matches!(merged, Err(JournalError::Format(_))), "{merged:?}");
+        }
+        let resumed = run_modes_campaign_sharded(
+            &scheduler,
+            &modes,
+            &configs,
+            &options,
+            ShardSelect::whole(),
+            Some(&JournalOptions::resume(&crafted)),
+        );
+        assert!(matches!(resumed, Err(JournalError::Format(_))));
+        paths.extend([journal, crafted, stretched]);
         cleanup(&paths);
     }
 }
@@ -248,7 +305,32 @@ fn table1_single_sharded_and_resumed_runs_are_byte_identical() {
             reference,
             "{workers} workers: resumed classification diverged from the single run"
         );
-        paths.push(journal);
+
+        // A verdict row one target short, and job 1 moved past the job
+        // space (which would otherwise merge as "complete" without it):
+        // typed errors on merge and on resume.
+        let short = temp_path(&format!("t1-{workers}-short"));
+        let moved = temp_path(&format!("t1-{workers}-moved"));
+        craft(&journal, &short, |f| {
+            if f[0] == "R" && f[1] == "0" {
+                f[4].pop();
+            }
+        });
+        craft(&journal, &moved, |f| move_job(f, "1"));
+        for crafted in [&short, &moved] {
+            let merged = merge_classification_journals(std::slice::from_ref(crafted), &configs);
+            assert!(matches!(merged, Err(JournalError::Format(_))), "{merged:?}");
+            let resumed = classify_configurations_sharded(
+                &scheduler,
+                &configs,
+                kernels_per_mode,
+                &options,
+                ShardSelect::whole(),
+                Some(&JournalOptions::resume(crafted)),
+            );
+            assert!(matches!(resumed, Err(JournalError::Format(_))));
+        }
+        paths.extend([journal, short, moved]);
         cleanup(&paths);
     }
 }
